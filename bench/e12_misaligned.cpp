@@ -10,13 +10,25 @@
 
 #include "analysis/table.hpp"
 #include "bench_util.hpp"
+#include "core/checkpoint.hpp"
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
-#include "graph/coloring.hpp"
 #include "graph/generators.hpp"
 #include "radio/misaligned_engine.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
+
+namespace {
+
+urn::Samples latency_samples(const urn::core::RunResult& run) {
+  urn::Samples lat;
+  for (const urn::radio::Slot s : run.latency) {
+    lat.add(static_cast<double>(s));
+  }
+  return lat;
+}
+
+}  // namespace
 
 int main() {
   using namespace urn;
@@ -45,8 +57,7 @@ int main() {
       const auto run = core::run_coloring(net.graph, mp.params, ws,
                                           mix_seed(0xE12A, t));
       if (run.check.valid()) ++aligned_valid;
-      Samples lat;
-      for (radio::Slot s : run.latency) lat.add(static_cast<double>(s));
+      const Samples lat = latency_samples(run);
       aligned_mean.add(lat.mean());
       aligned_max.add(lat.max());
 
@@ -64,13 +75,9 @@ int main() {
           mix_seed(0xE12A, t));
       const auto stats = eng.run(80 * mp.params.threshold());
       URN_CHECK(stats.all_decided);
-      std::vector<graph::Color> colors(n);
-      Samples mlat;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        colors[v] = eng.node(v).color();
-        mlat.add(static_cast<double>(eng.decision_latency(v)));
-      }
-      if (graph::validate(net.graph, colors).valid()) ++mis_valid;
+      const auto mis = core::harvest_coloring(eng, net.graph, ws, stats);
+      if (mis.check.valid()) ++mis_valid;
+      const Samples mlat = latency_samples(mis);
       mis_mean.add(mlat.mean());
       mis_max.add(mlat.max());
     }

@@ -169,69 +169,51 @@ LoadedCheckpoint load_checkpoint(const std::string& path) {
   return out;
 }
 
+namespace {
+
+/// Rebuild the engine recorded in `ck` (aligned or misaligned), restore
+/// its state, and hand it to `use`.  Returns a one-line error when the
+/// state does not load, else an empty string.
+template <typename Use>
+std::string with_restored_engine(const LoadedCheckpoint& ck,
+                                 const radio::WakeSchedule& schedule,
+                                 Use&& use) {
+  const CheckpointScenario& s = ck.scenario;
+  auto restore = [&](auto& engine, const char* kind) -> std::string {
+    pm::Reader r(ck.engine_state);
+    if (!engine.load_state(r)) {
+      return std::string("corrupt engine-state section (") + kind + ")";
+    }
+    use(engine);
+    return {};
+  };
+  if (ck.kind == pm::EngineKind::kAligned) {
+    radio::Engine<ColoringNode> engine(ck.graph, schedule, build_nodes(s),
+                                       s.seed, s.medium);
+    return restore(engine, "aligned");
+  }
+  radio::MisalignedEngine<ColoringNode> engine(ck.graph, schedule,
+                                               build_nodes(s), s.offsets,
+                                               s.seed);
+  return restore(engine, "misaligned");
+}
+
+}  // namespace
+
 ResumeResult resume_coloring(const LoadedCheckpoint& ck) {
   ResumeResult out;
   if (!ck.ok) {
     out.error = ck.error.empty() ? "checkpoint not loaded" : ck.error;
     return out;
   }
-  const CheckpointScenario& s = ck.scenario;
-  radio::WakeSchedule schedule(s.wake_slots);
-  pm::Reader r(ck.engine_state);
-
-  if (ck.kind == pm::EngineKind::kAligned) {
-    radio::Engine<ColoringNode> engine(
-        ck.graph, schedule, build_nodes(s),
-        s.seed, s.medium);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (aligned)";
-      return out;
-    }
-    const radio::RunStats stats = engine.run(s.max_slots);
+  const radio::WakeSchedule schedule(ck.scenario.wake_slots);
+  out.error = with_restored_engine(ck, schedule, [&](auto& engine) {
+    const radio::RunStats stats = engine.run(ck.scenario.max_slots);
     out.run = harvest_coloring(engine, ck.graph, schedule, stats);
-  } else {
-    radio::MisalignedEngine<ColoringNode> engine(
-        ck.graph, schedule,
-        build_nodes(s), s.offsets,
-        s.seed);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (misaligned)";
-      return out;
-    }
-    const radio::RunStats stats = engine.run(s.max_slots);
-    out.run = harvest_coloring(engine, ck.graph, schedule, stats);
-  }
-  out.ok = true;
+  });
+  out.ok = out.error.empty();
   return out;
 }
-
-namespace {
-
-template <typename EngineT>
-void summarize_nodes(const EngineT& engine, std::size_t n,
-                     CheckpointSummary& out) {
-  out.nodes.reserve(n);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const ColoringNode& node = engine.node(v);
-    NodeSnapshot snap;
-    snap.phase = static_cast<std::uint8_t>(node.phase());
-    snap.color_index =
-        node.decided() ? node.color() : node.verifying_color();
-    snap.counter = node.counter();
-    snap.decided = node.decided();
-    snap.awake = engine.is_awake(v);
-    snap.decision_slot = engine.decision_slot(v);
-    snap.leader = node.leader();
-    snap.intra_cluster = node.intra_cluster_color();
-    snap.competitors = node.competitors();
-    if (snap.awake) ++out.awake;
-    if (snap.decided) ++out.decided;
-    out.nodes.push_back(snap);
-  }
-  out.stats = engine.stats();
-}
-
-}  // namespace
 
 CheckpointSummary describe_checkpoint(const LoadedCheckpoint& ck) {
   CheckpointSummary out;
@@ -239,38 +221,33 @@ CheckpointSummary describe_checkpoint(const LoadedCheckpoint& ck) {
     out.error = ck.error.empty() ? "checkpoint not loaded" : ck.error;
     return out;
   }
-  const CheckpointScenario& s = ck.scenario;
-  radio::WakeSchedule schedule(s.wake_slots);
-  pm::Reader r(ck.engine_state);
+  const radio::WakeSchedule schedule(ck.scenario.wake_slots);
   out.position = ck.position;
-
-  if (ck.kind == pm::EngineKind::kAligned) {
-    radio::Engine<ColoringNode> engine(
-        ck.graph, schedule, build_nodes(s),
-        s.seed, s.medium);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (aligned)";
-      return out;
+  out.error = with_restored_engine(ck, schedule, [&](const auto& engine) {
+    const std::size_t n = ck.scenario.num_nodes;
+    out.nodes.reserve(n);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      const ColoringNode& node = engine.node(v);
+      NodeSnapshot snap;
+      snap.phase = static_cast<std::uint8_t>(node.phase());
+      snap.color_index =
+          node.decided() ? node.color() : node.verifying_color();
+      snap.counter = node.counter();
+      snap.decided = node.decided();
+      snap.awake = engine.is_awake(v);
+      snap.dead = engine.is_dead(v);
+      snap.decision_slot = engine.decision_slot(v);
+      snap.leader = node.leader();
+      snap.intra_cluster = node.intra_cluster_color();
+      snap.competitors = node.competitors();
+      if (snap.awake) ++out.awake;
+      if (snap.decided) ++out.decided;
+      if (snap.dead) ++out.dead;
+      out.nodes.push_back(snap);
     }
-    summarize_nodes(engine, s.num_nodes, out);
-    for (graph::NodeId v = 0; v < s.num_nodes; ++v) {
-      if (engine.is_dead(v)) {
-        out.nodes[v].dead = true;
-        ++out.dead;
-      }
-    }
-  } else {
-    radio::MisalignedEngine<ColoringNode> engine(
-        ck.graph, schedule,
-        build_nodes(s), s.offsets,
-        s.seed);
-    if (!engine.load_state(r)) {
-      out.error = "corrupt engine-state section (misaligned)";
-      return out;
-    }
-    summarize_nodes(engine, s.num_nodes, out);
-  }
-  out.ok = true;
+    out.stats = engine.stats();
+  });
+  out.ok = out.error.empty();
   return out;
 }
 

@@ -103,7 +103,7 @@ struct NodeSnapshot {
   std::int64_t counter = 0;     ///< c_v
   bool decided = false;
   bool awake = false;
-  bool dead = false;            ///< aligned engine only
+  bool dead = false;            ///< crash-stop (aligned medium only)
   Slot decision_slot = -1;
   graph::NodeId leader = graph::kInvalidNode;
   std::int32_t intra_cluster = -1;
@@ -129,7 +129,7 @@ struct CheckpointSummary {
 
 /// Harvest a RunResult from a finished engine (shared by the straight
 /// runner path and the resume path so both extract identically).  Works
-/// for both engine flavors: only the common accessor surface is used.
+/// on either medium: decision slots and latencies are in local slots.
 template <typename EngineT>
 [[nodiscard]] RunResult harvest_coloring(const EngineT& engine,
                                          const graph::Graph& g,

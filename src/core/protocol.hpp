@@ -33,8 +33,8 @@
 /// stream, in its awake-list visit order — (wake slot, id) ascending
 /// while the network is waking, id-ascending once all nodes are awake —
 /// and the medium draws drop chances from `mix_seed(seed, 0xFADED)` in
-/// first-touch listener order.  Every engine (optimized, misaligned,
-/// naive reference) and both protocol sweeps (the scalar `on_slot` loop
+/// first-touch listener order.  The engine (on either medium), the naive
+/// reference engine and both protocol sweeps (the scalar `on_slot` loop
 /// and the SoA `batch_slots` pass) implement this same sequence, which
 /// is what makes them bit-comparable; `tests/test_reference_diff.cpp`
 /// is the arbiter.  Changing the spec (a v2) means re-baselining every

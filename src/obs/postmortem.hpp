@@ -15,7 +15,7 @@
 ///     offset  size  field
 ///     0       4     magic "URNC"
 ///     4       2     format version (kCkptVersion)
-///     6       2     engine kind (0 = aligned Engine, 1 = MisalignedEngine)
+///     6       2     engine kind (0 = aligned medium, 1 = half-slot medium)
 ///     8       8     position (slot for aligned; half-slot for misaligned)
 ///     16      4     scenario section length S
 ///     20      S     scenario section (graph/params/schedule/seed manifest,
@@ -133,7 +133,7 @@ class Reader {
   bool ok_ = true;
 };
 
-/// Rng stream codec, shared by both engines' save/load paths.  The full
+/// Rng stream codec, shared by both media's engine save/load paths.  The full
 /// `Rng::Snapshot` is written (state words plus the cached normal spare)
 /// so restored streams replay draw-for-draw.
 inline void write_rng(Writer& w, const Rng& rng) {
@@ -166,8 +166,8 @@ inline constexpr const char* kMonitorFileName = "monitor.json";
 inline constexpr const char* kTelemetryFileName = "telemetry.json";
 
 enum class EngineKind : std::uint16_t {
-  kAligned = 0,     ///< radio::Engine (globally slotted)
-  kMisaligned = 1,  ///< radio::MisalignedEngine (per-node slot offsets)
+  kAligned = 0,     ///< radio::Engine on the aligned medium
+  kMisaligned = 1,  ///< radio::Engine on the half-slot medium (offsets)
 };
 
 /// Raw parsed checkpoint file: header fields plus the two opaque

@@ -2,7 +2,8 @@
 /// \brief The slotted radio-medium simulator (the unstructured radio
 ///        network model of Sect. 2).
 ///
-/// Collision semantics, implemented exactly as specified:
+/// One engine, two media.  The default `AlignedMedium` implements the
+/// model exactly as specified:
 ///  * time is divided into discrete synchronized slots;
 ///  * in each slot a node either transmits or listens, never both;
 ///  * a node receives a message iff **exactly one** of its (open-)
@@ -11,6 +12,9 @@
 ///    and **no collision detection** exists: the receiver cannot tell a
 ///    collision from silence, and the sender learns nothing;
 ///  * sleeping nodes (before their wake slot) neither send nor receive.
+/// `HalfSlotMedium` (radio/misaligned_engine.hpp) is the non-aligned
+/// variant the paper's Sect. 2 mentions; both plug into the same engine
+/// shell as a compile-time policy.
 ///
 /// The engine is a class template over the node-protocol type so that the
 /// per-slot loop is fully inlined (the simulator sustains tens of millions
@@ -21,11 +25,9 @@
 ///     void on_receive(SlotContext&, const Message&);  // end-of-slot delivery
 ///     bool decided() const;                           // irrevocable color fixed
 ///
-/// Within a slot the engine (1) wakes due nodes, (2) calls `on_slot` on all
-/// awake nodes collecting transmissions, (3) resolves the medium, and
-/// (4) delivers at most one message per listening node via `on_receive`.
-/// State changes made in `on_receive` therefore take effect in the next
-/// slot, matching the paper's slot granularity.
+/// Receptions are delivered via `on_receive` after every slot that started
+/// at the same tick has run, so state changes made there take effect in
+/// the receiver's next slot, matching the paper's slot granularity.
 ///
 /// **Observability.**  The engine takes a second template parameter, an
 /// `obs::EventSink`, defaulting to `obs::NullSink`.  With the default every
@@ -109,8 +111,8 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 //                             std::vector<Message>& out);
 //     bool Hot::decided(NodeId) const;        // node-object-free test
 //
-// The engines then (a) own one block per run and attach every node to it
-// in their constructors, and (b) on *untraced* instantiations replace the
+// The engine then (a) owns one block per run and attaches every node to
+// it in its constructor, and (b) on *untraced* instantiations replaces the
 // per-node `on_slot` loop with one `batch_slots` call — which must be
 // bit-identical to the scalar loop (the protocol owns that proof; the
 // traced-vs-untraced and reference-diff suites are the arbiters).
@@ -135,27 +137,33 @@ struct HotStateOfT<P, std::void_t<typename P::Hot>> {
 template <typename P>
 using HotStateOf = typename HotStateOfT<P>::type;
 
-/// True when P declared an SoA hot block the engines must own and attach.
+/// True when P declared an SoA hot block the engine must own and attach.
 template <typename P>
 inline constexpr bool kHasHotState =
     !std::is_same_v<HotStateOf<P>, NoHotState>;
 
 /// Aggregate medium statistics for one run.
 struct RunStats {
+  /// Slots the run covered, fast-forwarded ones included.  On the
+  /// half-slot medium: completed global half-slots ÷ 2.
   Slot slots_run = 0;
   std::uint64_t transmissions = 0;
-  /// Listening-node slot pairs where exactly one neighbor transmitted.
+  /// Clean receptions: a listener heard exactly one frame.
   std::uint64_t deliveries = 0;
-  /// Listening-node slot pairs where two or more neighbors transmitted.
+  /// Lost receptions, counted per medium.  Aligned: listener-slot pairs
+  /// where two or more neighbors transmitted.  Half-slot: (frame,
+  /// listener) pairs where the frame ended unheard because a second frame
+  /// overlapped it at that listener, so one collided listener-slot counts
+  /// once for every frame that reached it.
   std::uint64_t collisions = 0;
   /// Otherwise-clean receptions lost to injected fading (MediumOptions).
   std::uint64_t dropped = 0;
   bool all_decided = false;
 };
 
-/// Failure-injection knobs for the medium (all off by default; with the
-/// defaults the engine is bit-identical to the ideal collision-only
-/// medium, which the differential tests rely on).
+/// Failure-injection knobs for the aligned medium (all off by default;
+/// with the defaults the engine is bit-identical to the ideal
+/// collision-only medium, which the differential tests rely on).
 struct MediumOptions {
   /// Probability that an otherwise-successful reception is lost anyway —
   /// a crude model of fading/shadowing, which the BIG model explicitly
@@ -163,198 +171,96 @@ struct MediumOptions {
   double drop_probability = 0.0;
 };
 
-/// The slotted-medium engine; owns the per-node protocol instances.
-/// Holds the graph **by reference** (hot-loop performance): the graph must
-/// outlive the engine.  `S` is the event sink; the default `obs::NullSink`
-/// compiles all tracing away.  `T` is the telemetry probe
-/// (`obs::telemetry::EngineProbe`); the default `NullEngineProbe` compiles
-/// the per-slot aggregate sampling away the same way.  `C` is the
-/// checkpointer (`obs::postmortem::Checkpointer`); the default
-/// `NullCheckpointer` compiles the run-loop checkpoint hook away.
-template <NodeProtocol P, obs::EventSink S = obs::NullSink,
-          typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer>
-class Engine {
+/// Engine time: slots on the aligned medium, half-slots on the half-slot
+/// medium.  Protocols only ever see local slots.
+using Tick = Slot;
+
+namespace detail {
+
+inline void write_ids(obs::postmortem::Writer& w,
+                      const std::vector<NodeId>& ids) {
+  w.u64(ids.size());
+  for (const NodeId v : ids) w.u32(v);
+}
+
+/// Reads a list written by `write_ids`; false when it cannot be a list
+/// of at most `max` nodes.
+[[nodiscard]] inline bool read_ids(obs::postmortem::Reader& r,
+                                   std::vector<NodeId>& ids,
+                                   std::size_t max) {
+  const std::uint64_t count = r.u64();
+  if (!r.ok() || count > max) return false;
+  ids.clear();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    ids.push_back(static_cast<NodeId>(r.u32()));
+  }
+  return true;
+}
+
+}  // namespace detail
+
+/// The slot-aligned medium of Sect. 2, the engine's default policy.
+///
+/// A *medium policy* is the one place where the engine's media differ.
+/// It fixes how local slots line up in engine time (`kTicksPerSlot`,
+/// `phase`), which nodes take part at a tick (`admit`, `participants`,
+/// `order_by_id`, `idle`), what the tick's transmissions do
+/// (`resolve`, which reports each outcome through the engine's
+/// `deliver` / `collide` / `drop`), and the middle of the engine-state
+/// blob (`save` / `load`, which also place the engine's own fields where
+/// that medium's v1 layout has them).  Media are friends of `Engine`.
+///
+/// Here every node's slot t is tick t.  All awake live nodes share one
+/// list, and a listener receives iff exactly one neighbor transmits.
+class AlignedMedium {
  public:
-  /// \pre nodes.size() == g.num_nodes() == schedule.size()
-  /// \param sink event sink; may be null even for enabled sink types (no
-  ///        events are emitted then).  The sink must outlive the engine.
-  Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
-         std::uint64_t seed, MediumOptions medium = {}, S* sink = nullptr)
-      : graph_(g),
-        schedule_(std::move(schedule)),
-        nodes_(std::move(nodes)),
-        hot_(g.num_nodes()),
-        medium_(medium),
-        medium_rng_(mix_seed(seed, 0xFADEDull)),
-        sink_(sink),
-        status_(g.num_nodes(), 0),
-        decision_slot_(g.num_nodes(), kUndecided),
-        pending_live_(g.num_nodes()),
-        rx_(g.num_nodes(), 0) {
-    URN_CHECK(medium_.drop_probability >= 0.0 &&
-              medium_.drop_probability < 1.0);
-    URN_CHECK(nodes_.size() == graph_.num_nodes());
-    URN_CHECK(schedule_.size() == graph_.num_nodes());
-    if constexpr (kHasHotState<P>) {
-      // Attach AFTER the node vector is moved into place: the pointers
-      // nodes keep into the block stay valid for the engine's lifetime.
-      for (P& node : nodes_) node.attach_hot(&hot_);
-    }
-    rngs_.reserve(graph_.num_nodes());
-    for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-      rngs_.emplace_back(mix_seed(seed, v));
-    }
-    // Wake order: nodes sorted by (wake slot, id) for an O(1) amortized
-    // wake scan.  The id tie-break makes the order — and with it the
-    // per-slot transmitter order, which fixes the medium-RNG draw
-    // sequence under drop_probability > 0 — a specification the
-    // reference engine can reproduce, not an artifact of the sort
-    // implementation.
-    wake_order_.resize(graph_.num_nodes());
-    for (NodeId v = 0; v < graph_.num_nodes(); ++v) wake_order_[v] = v;
-    std::sort(wake_order_.begin(), wake_order_.end(),
-              [this](NodeId a, NodeId b) {
-                const Slot wa = schedule_.wake_slot(a);
-                const Slot wb = schedule_.wake_slot(b);
-                return wa != wb ? wa < wb : a < b;
-              });
+  static constexpr Tick kTicksPerSlot = 1;
+
+  AlignedMedium(std::size_t n, std::uint64_t seed, MediumOptions options)
+      : options_(options),
+        rng_(mix_seed(seed, 0xFADEDull)),
+        rx_(n, 0) {
+    URN_CHECK(options_.drop_probability >= 0.0 &&
+              options_.drop_probability < 1.0);
   }
 
-  // Nodes point into the engine-owned hot block; a copied or moved
-  // engine would leave them aimed at the source's block.
-  Engine(const Engine&) = delete;
-  Engine& operator=(const Engine&) = delete;
+  [[nodiscard]] static constexpr Tick end_tick(Slot max_slots) {
+    return max_slots;
+  }
+  [[nodiscard]] static constexpr Tick phase(NodeId /*v*/) { return 0; }
 
-  /// Attach a wall-clock span sink: each slot then records one span per
-  /// runner phase (wake / protocol / medium) on `kSpanTrack`.  Only
-  /// meaningful on sink-enabled instantiations — with `obs::NullSink`
-  /// the span hooks compile away along with the event emission sites,
-  /// so the untraced hot loop stays untouched.
-  void set_span_sink(obs::SpanSink* spans) { spans_ = spans; }
+  void admit(NodeId v) {
+    live_.push_back(v);
+    rx_[v] = kRxAwake;  // now a listening candidate
+  }
+  void remove(NodeId v) {
+    rx_[v] = 0;
+    std::erase(live_, v);
+  }
+  void order_by_id() { std::sort(live_.begin(), live_.end()); }
+  [[nodiscard]] bool idle() const { return live_.empty(); }
+  [[nodiscard]] const std::vector<NodeId>& participants(Tick /*h*/) const {
+    return live_;
+  }
 
-  /// Attach a telemetry probe: each slot then feeds one aggregate
-  /// `SlotSample` (counts only — no events, no RNG use) to the probe.
-  /// Only meaningful on probe-enabled instantiations; with the default
-  /// `NullEngineProbe` the sampling sites compile away.  The probe must
-  /// outlive the engine.  `run()` brackets execution with
-  /// `begin_run`/`end_run`; step()-driven users bracket it themselves.
-  void set_telemetry(T* probe) { probe_ = probe; }
-
-  /// Attach a postmortem checkpointer: `run()` then offers a snapshot at
-  /// the top of every loop iteration (the checkpointer decides whether
-  /// the period elapsed).  Only meaningful on checkpointer-enabled
-  /// instantiations; with the default `NullCheckpointer` the hook
-  /// compiles away.  Snapshots only read state, so a checkpointed run is
-  /// bit-identical to an unhooked one.  The checkpointer must outlive
-  /// the engine.
-  void set_checkpointer(C* ckpt) { ckpt_ = ckpt; }
-
-  /// The track id engine phase spans are recorded under.
-  static constexpr std::uint32_t kSpanTrack = 0;
-
-  /// Advance the simulation one slot.
-  void step() {
-    const Slot now = slot_;
-    const std::uint64_t ts_wake = span_now();
-
-    // Telemetry baselines for this slot's deltas (dead locals on
-    // probe-disabled instantiations; the optimizer drops them).
-    [[maybe_unused]] std::size_t probe_wakes_before = 0;
-    [[maybe_unused]] std::size_t probe_pending_before = 0;
-    [[maybe_unused]] std::uint64_t probe_deliveries_before = 0;
-    [[maybe_unused]] std::uint64_t probe_collisions_before = 0;
-    [[maybe_unused]] std::uint64_t probe_dropped_before = 0;
-    if constexpr (T::kEnabled) {
-      if (probe_ != nullptr) {
-        probe_wakes_before = next_wake_;
-        probe_pending_before = pending_live_;
-        probe_deliveries_before = stats_.deliveries;
-        probe_collisions_before = stats_.collisions;
-        probe_dropped_before = stats_.dropped;
-      }
-    }
-
-    // (1) Wake due nodes.  A node deactivated before its wake slot still
-    // wakes (events + on_wake fire, matching the pre-compaction engine)
-    // but never enters the live lists.
-    while (next_wake_ < wake_order_.size() &&
-           schedule_.wake_slot(wake_order_[next_wake_]) <= now) {
-      const NodeId v = wake_order_[next_wake_++];
-      status_[v] |= kAwakeBit;
-      if (status_[v] == kAwakeBit) {
-        awake_list_.push_back(v);
-        undecided_list_.push_back(v);
-        rx_[v] = kRxAwake;  // now a listening candidate for the medium
-      }
-      emit([&] { return obs::Event::wake(now, v); });
-      SlotContext ctx = context(v, now);
-      nodes_[v].on_wake(ctx);
-    }
-    if (!id_ordered_ && next_wake_ >= wake_order_.size()) {
-      // From the slot the last node wakes (inclusive), iterate nodes in
-      // ascending id: under random schedules wake order is an arbitrary
-      // permutation, and re-sorting once turns every later per-slot
-      // sweep into a linear memory walk over nodes_/rngs_.  This is part
-      // of the engine's documented iteration order — (wake slot, id)
-      // while nodes are still waking, id-ascending once all are awake —
-      // which the reference engine mirrors (it pins the medium-RNG draw
-      // sequence under drop_probability > 0; aggregate stats and
-      // per-node RNG streams are order-independent).
-      std::sort(awake_list_.begin(), awake_list_.end());
-      std::sort(undecided_list_.begin(), undecided_list_.end());
-      id_ordered_ = true;
-    }
-
-    // (2) Collect transmissions.  awake_list_ holds only live awake
-    // nodes (deactivate compacts), so no per-node dead check remains.
-    // SoA protocols on untraced engines run the whole list through one
-    // `batch_slots` call (classify over the hot arrays, batched
-    // Bernoulli draws, messages in scalar order — bit-identical by the
-    // protocol's contract); traced engines keep the scalar loop, whose
-    // per-node contexts carry the event hook.
-    const std::uint64_t ts_protocol = span_now();
-    transmitters_.clear();
-    if constexpr (kHasHotState<P> && !S::kEnabled) {
-      P::batch_slots(hot_, awake_list_.data(), awake_list_.size(), now,
-                     nodes_.data(), rngs_.data(), transmitters_);
-    } else {
-      for (NodeId v : awake_list_) {
-        SlotContext ctx = context(v, now);
-        if (std::optional<Message> msg = nodes_[v].on_slot(ctx)) {
-          URN_DCHECK(msg->sender == v);
-          transmitters_.push_back(*msg);
-          emit([&] {
-            return obs::Event::transmit(
-                now, v, static_cast<std::uint8_t>(msg->type),
-                msg->color_index, msg->counter);
-          });
-        }
-      }
-    }
-    stats_.transmissions += transmitters_.size();
-
-    // (3) Resolve the medium in ONE pass: classify each touched live
-    // listener as clean (exactly one transmitting neighbor, with the
-    // source index) or collided, in first-touch order.  First-touch
-    // order here equals the first-visit order of the old second
-    // transmitter×neighbor pass (both walk the same nested sequence),
-    // so delivery / collision / drop events and medium-RNG draws keep
-    // the exact same order — bit-identical results, half the edge
-    // traversals.  The whole per-listener medium state lives in ONE
-    // 4-byte `rx_` word (awake flag | clean/collided/self | source), so
-    // the ~Δ random accesses per transmitter touch one cache line each
-    // instead of the three the old count/stamp/src arrays cost; the
-    // touched entries are wiped at the end of the slot (touched_ and
-    // the transmitter list enumerate exactly the dirtied words), which
-    // replaces the epoch stamps entirely.  Sleeping and dead neighbors
-    // are skipped outright: their state can never be read.
-    const std::uint64_t ts_medium = span_now();
+  /// Resolve the slot in ONE pass: classify each touched live listener
+  /// as clean (exactly one transmitting neighbor, with the source
+  /// index) or collided, in first-touch order — which fixes the order of
+  /// delivery / collision / drop events and of medium-RNG draws.  The
+  /// whole per-listener state lives in ONE 4-byte `rx_` word (awake flag
+  /// | clean/collided/self | source), so the ~Δ random accesses per
+  /// transmitter touch one cache line each; the touched words are wiped
+  /// at the end of the slot (touched_ and the transmitter list enumerate
+  /// exactly the dirtied words), so no epoch stamps are needed.
+  /// Sleeping and dead neighbors are skipped outright.
+  template <typename E>
+  void resolve(E& e, Tick now) {
+    const std::vector<Message>& tx = e.transmitters_;
     touched_.clear();
-    URN_DCHECK(transmitters_.size() <= kRxSrcMask);
-    for (std::uint32_t t = 0; t < transmitters_.size(); ++t) {
-      const NodeId sender = transmitters_[t].sender;
-      for (NodeId u : graph_.neighbors(sender)) {
+    URN_DCHECK(tx.size() <= kRxSrcMask);
+    for (std::uint32_t t = 0; t < tx.size(); ++t) {
+      const NodeId sender = tx[t].sender;
+      for (NodeId u : e.graph_.neighbors(sender)) {
         const std::uint32_t w = rx_[u];
         if (w == kRxAwake) {  // listening, untouched so far
           rx_[u] = kRxAwake | kRxClean | t;  // sole candidate sender
@@ -369,40 +275,254 @@ class Engine {
       rx_[sender] = kRxAwake | kRxSelf;
     }
 
-    // (4) Deliver to listeners with exactly one active neighbor.  Each
-    // touched listener appears once; states are final by now.
+    // Each touched listener appears once; states are final by now.
     for (const NodeId u : touched_) {
       const std::uint32_t w = rx_[u];
       if ((w & kRxStateMask) == kRxClean) {
-        const Message& msg = transmitters_[w & kRxSrcMask];
-        if (medium_.drop_probability > 0.0 &&
-            medium_rng_.chance(medium_.drop_probability)) {
-          ++stats_.dropped;  // fading: clean reception lost anyway
-          emit([&] {
-            return obs::Event::drop(now, u, msg.sender,
-                                    static_cast<std::uint8_t>(msg.type));
-          });
+        const Message& msg = tx[w & kRxSrcMask];
+        if (options_.drop_probability > 0.0 &&
+            rng_.chance(options_.drop_probability)) {
+          e.drop(u, msg, now);  // fading: clean reception lost anyway
         } else {
-          ++stats_.deliveries;
-          emit([&] {
-            return obs::Event::delivery(now, u, msg.sender,
-                                        static_cast<std::uint8_t>(msg.type),
-                                        msg.color_index);
-          });
-          SlotContext ctx = context(u, now);
-          nodes_[u].on_receive(ctx, msg);
+          e.deliver(u, msg, now);
         }
       } else if ((w & kRxStateMask) == kRxCollided) {
-        ++stats_.collisions;
-        emit([&] { return obs::Event::collision(now, u); });
+        e.collide(u, now);
       }
       rx_[u] = kRxAwake;  // wipe for the next slot (still listening)
     }
-    // Transmitters dirtied their own rx_ word too (kRxSelf); they are
-    // live and awake by construction, so restore the bare awake flag.
-    for (const Message& m : transmitters_) rx_[m.sender] = kRxAwake;
+    // Transmitters are live and awake by construction.
+    for (const Message& m : tx) rx_[m.sender] = kRxAwake;
+  }
 
-    // (5) Track decisions, compacting decided nodes out of the scan so
+  /// v1 aligned layout: medium RNG, status and decisions, live list,
+  /// undecided list, wake cursor, id-order flag, pending count.
+  template <typename E>
+  void save(obs::postmortem::Writer& w, const E& e) const {
+    obs::postmortem::write_rng(w, rng_);
+    e.save_status(w);
+    detail::write_ids(w, live_);
+    detail::write_ids(w, e.undecided_list_);
+    w.u64(e.next_wake_);
+    w.boolean(e.id_ordered_);
+    w.u64(e.pending_live_);
+  }
+
+  template <typename E>
+  [[nodiscard]] bool load(obs::postmortem::Reader& r, E& e) {
+    if (!obs::postmortem::read_rng(r, rng_)) return false;
+    e.load_status(r);
+    // The persistent part of the medium word is a pure function of the
+    // status bytes; the touch bits are clear between slots, which is
+    // when checkpoints are taken.
+    for (NodeId v = 0; v < rx_.size(); ++v) {
+      rx_[v] = e.status_[v] == E::kAwakeBit ? kRxAwake : 0;
+    }
+    const std::size_t n = rx_.size();
+    if (!detail::read_ids(r, live_, n) ||
+        !detail::read_ids(r, e.undecided_list_, n)) {
+      return false;
+    }
+    e.next_wake_ = static_cast<std::size_t>(r.u64());
+    e.id_ordered_ = r.boolean();
+    e.pending_live_ = static_cast<std::size_t>(r.u64());
+    return e.next_wake_ <= n && e.pending_live_ <= n;
+  }
+
+ private:
+  // Layout of the per-node medium word rx_: the top bit is the
+  // persistent "live awake listener" flag (maintained on admit / remove /
+  // load), the next two bits are the per-slot touch state, and the low 29
+  // bits hold the transmitter index while the state is kRxClean.  Between
+  // slots every word is either 0 or exactly kRxAwake.
+  static constexpr std::uint32_t kRxAwake = 1u << 31;
+  static constexpr std::uint32_t kRxClean = 1u << 29;
+  static constexpr std::uint32_t kRxCollided = 2u << 29;
+  static constexpr std::uint32_t kRxSelf = 3u << 29;
+  static constexpr std::uint32_t kRxStateMask = 3u << 29;
+  static constexpr std::uint32_t kRxSrcMask = (1u << 29) - 1;
+
+  MediumOptions options_;
+  Rng rng_;
+  std::vector<std::uint32_t> rx_;
+  std::vector<NodeId> live_;     ///< live awake nodes (the participants)
+  std::vector<NodeId> touched_;  ///< live listeners touched this slot
+};
+
+/// The radio engine; owns the per-node protocol instances.  Holds the
+/// graph **by reference** (hot-loop performance): the graph must outlive
+/// the engine.  `S` is the event sink; the default `obs::NullSink`
+/// compiles all tracing away.  `T` is the telemetry probe
+/// (`obs::telemetry::EngineProbe`); the default `NullEngineProbe` compiles
+/// the per-tick aggregate sampling away the same way.  `C` is the
+/// checkpointer (`obs::postmortem::Checkpointer`); the default
+/// `NullCheckpointer` compiles the run-loop checkpoint hook away.  `M` is
+/// the medium policy: `AlignedMedium` here, `HalfSlotMedium` in
+/// radio/misaligned_engine.hpp (alias `MisalignedEngine`).
+///
+/// Node v's local slot t starts at tick `kTicksPerSlot·t + phase(v)`.
+/// Each tick the engine (1) wakes the nodes whose wake slot starts now,
+/// (2) runs the slot of every node whose slot starts now, collecting
+/// transmissions, (3) lets the medium resolve them, and (4) records the
+/// nodes that decided, in their own local slot.
+template <NodeProtocol P, obs::EventSink S = obs::NullSink,
+          typename T = obs::telemetry::NullEngineProbe,
+          typename C = obs::postmortem::NullCheckpointer,
+          typename M = AlignedMedium>
+class Engine {
+ public:
+  static constexpr Tick kTicksPerSlot = M::kTicksPerSlot;
+
+  /// Aligned medium.
+  /// \pre nodes.size() == g.num_nodes() == schedule.size()
+  /// \param sink event sink; may be null even for enabled sink types (no
+  ///        events are emitted then).  The sink must outlive the engine.
+  Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
+         std::uint64_t seed, MediumOptions medium = {}, S* sink = nullptr)
+    requires std::same_as<M, AlignedMedium>
+      : Engine(M(g.num_nodes(), seed, medium), g, std::move(schedule),
+               std::move(nodes), seed, sink) {}
+
+  /// Media built from per-node phase offsets (the half-slot medium):
+  /// `offsets[v]` is node v's phase in ticks.  Slots in events are the
+  /// node's local slots.
+  Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
+         std::vector<std::uint8_t> offsets, std::uint64_t seed,
+         S* sink = nullptr)
+    requires std::constructible_from<M, std::size_t,
+                                     std::vector<std::uint8_t>>
+      : Engine(M(g.num_nodes(), std::move(offsets)), g, std::move(schedule),
+               std::move(nodes), seed, sink) {}
+
+  // Nodes point into the engine-owned hot block; a copied or moved
+  // engine would leave them aimed at the source's block.
+  Engine(const Engine&) = delete;
+  Engine& operator=(const Engine&) = delete;
+
+  /// Uniformly random phase offsets for media built from offsets, the
+  /// natural "unsynchronized clocks" model.
+  [[nodiscard]] static std::vector<std::uint8_t> random_offsets(
+      std::size_t n, Rng& rng)
+    requires std::constructible_from<M, std::size_t,
+                                     std::vector<std::uint8_t>>
+  {
+    return M::random_offsets(n, rng);
+  }
+
+  /// Attach a wall-clock span sink: each tick then records one span per
+  /// phase (wake / protocol / medium) on `kSpanTrack`.  Only meaningful
+  /// on sink-enabled instantiations — with `obs::NullSink` the span hooks
+  /// compile away along with the event emission sites, so the untraced
+  /// hot loop stays untouched.
+  void set_span_sink(obs::SpanSink* spans) { spans_ = spans; }
+
+  /// Attach a telemetry probe: each tick then feeds one aggregate
+  /// `SlotSample` (counts only — no events, no RNG use; `slots` counts
+  /// local slots completed) to the probe.  Only meaningful on
+  /// probe-enabled instantiations; with the default `NullEngineProbe`
+  /// the sampling sites compile away.  The probe must outlive the
+  /// engine.  `run()` brackets execution with `begin_run`/`end_run`;
+  /// step()-driven users bracket it themselves.
+  void set_telemetry(T* probe) { probe_ = probe; }
+
+  /// Attach a postmortem checkpointer: `run()` then offers a snapshot at
+  /// the top of every loop iteration, at the current tick (the
+  /// checkpointer decides whether the period elapsed; a period in local
+  /// slots is `kTicksPerSlot` times as many ticks).  Only meaningful on
+  /// checkpointer-enabled instantiations; with the default
+  /// `NullCheckpointer` the hook compiles away.  Snapshots only read
+  /// state, so a checkpointed run is bit-identical to an unhooked one.
+  /// The checkpointer must outlive the engine.
+  void set_checkpointer(C* ckpt) { ckpt_ = ckpt; }
+
+  /// The track id engine phase spans are recorded under.
+  static constexpr std::uint32_t kSpanTrack = 0;
+
+  /// Advance the simulation one tick: a slot on the aligned medium, a
+  /// global half-slot on the half-slot medium.
+  void step() {
+    const Tick h = tick_;
+    const std::uint64_t ts_wake = span_now();
+
+    // Telemetry baselines for this tick's deltas (dead locals on
+    // probe-disabled instantiations; the optimizer drops them).
+    [[maybe_unused]] std::size_t probe_wakes_before = 0;
+    [[maybe_unused]] std::size_t probe_pending_before = 0;
+    [[maybe_unused]] RunStats probe_before;
+    if constexpr (T::kEnabled) {
+      if (probe_ != nullptr) {
+        probe_wakes_before = next_wake_;
+        probe_pending_before = pending_live_;
+        probe_before = stats_;
+      }
+    }
+
+    // (1) Wake due nodes.  A node deactivated before its wake slot still
+    // wakes (events + on_wake fire) but never takes part.
+    while (next_wake_ < wake_order_.size() &&
+           wake_tick(wake_order_[next_wake_]) <= h) {
+      const NodeId v = wake_order_[next_wake_++];
+      status_[v] |= kAwakeBit;
+      if (status_[v] == kAwakeBit) {
+        medium_.admit(v);
+        undecided_list_.push_back(v);
+      }
+      const Slot local = local_slot(v, h);
+      emit([&] { return obs::Event::wake(local, v); });
+      SlotContext ctx = context(v, local);
+      nodes_[v].on_wake(ctx);
+    }
+    if (!id_ordered_ && next_wake_ >= wake_order_.size()) {
+      // From the tick the last node wakes (inclusive), iterate nodes in
+      // ascending id: under random schedules wake order is an arbitrary
+      // permutation, and re-sorting once turns every later sweep into a
+      // linear memory walk over nodes_/rngs_.  This is part of the
+      // engine's documented iteration order — (wake tick, id) while
+      // nodes are still waking, id-ascending once all are awake — which
+      // the reference engine mirrors (it pins the medium-RNG draw
+      // sequence under drop_probability > 0; aggregate stats and
+      // per-node RNG streams are order-independent).
+      std::sort(undecided_list_.begin(), undecided_list_.end());
+      medium_.order_by_id();
+      id_ordered_ = true;
+    }
+
+    // (2) Run the slot of every node whose slot starts now; they all
+    // share local slot h / kTicksPerSlot.  The participant lists hold
+    // only live awake nodes.  SoA protocols on untraced engines run the
+    // whole list through one `batch_slots` call (classify over the hot
+    // arrays, batched Bernoulli draws, messages in scalar order —
+    // bit-identical by the protocol's contract); traced engines keep the
+    // scalar loop, whose per-node contexts carry the event hook.
+    const std::uint64_t ts_protocol = span_now();
+    const std::vector<NodeId>& participants = medium_.participants(h);
+    const Slot now = h / kTicksPerSlot;
+    transmitters_.clear();
+    if constexpr (kHasHotState<P> && !S::kEnabled) {
+      P::batch_slots(hot_, participants.data(), participants.size(), now,
+                     nodes_.data(), rngs_.data(), transmitters_);
+    } else {
+      for (NodeId v : participants) {
+        SlotContext ctx = context(v, now);
+        if (std::optional<Message> msg = nodes_[v].on_slot(ctx)) {
+          URN_DCHECK(msg->sender == v);
+          transmitters_.push_back(*msg);
+          emit([&] {
+            return obs::Event::transmit(
+                now, v, static_cast<std::uint8_t>(msg->type),
+                msg->color_index, msg->counter);
+          });
+        }
+      }
+    }
+    stats_.transmissions += transmitters_.size();
+
+    // (3) The medium reports every reception outcome of this tick
+    // through deliver / collide / drop.
+    const std::uint64_t ts_medium = span_now();
+    medium_.resolve(*this, h);
+
+    // (4) Track decisions, compacting decided nodes out of the scan so
     // its cost follows the number of still-undecided nodes, not n.  SoA
     // protocols answer `decided` straight from the hot block, so the
     // scan never touches a node object.
@@ -414,11 +534,12 @@ class Engine {
         else return nodes_[v].decided();
       }();
       if (is_decided) {
-        decision_slot_[v] = now;
+        const Slot local = local_slot(v, h);
+        decision_slot_[v] = local;
         --pending_live_;
         emit([&] {
-          return obs::Event::decision(now, v, /*color=*/-1,
-                                      now - schedule_.wake_slot(v));
+          return obs::Event::decision(local, v, /*color=*/-1,
+                                      local - schedule_.wake_slot(v));
         });
       } else {
         undecided_list_[keep++] = v;
@@ -430,60 +551,71 @@ class Engine {
     span_emit("protocol", ts_protocol, ts_medium, now);
     span_emit("medium", ts_medium, span_now(), now);
 
-    ++slot_;
-    stats_.slots_run = slot_;
+    ++tick_;
+    stats_.slots_run = tick_ / kTicksPerSlot;
 
     if constexpr (T::kEnabled) {
       if (probe_ != nullptr) {
         obs::telemetry::SlotSample s;
-        s.slots = 1;
-        s.active = awake_list_.size();
+        s.slots = static_cast<std::uint64_t>(stats_.slots_run -
+                                             probe_before.slots_run);
+        s.active = participants.size();
         s.wakes = next_wake_ - probe_wakes_before;
         s.decisions = probe_pending_before - pending_live_;
         s.transmissions = transmitters_.size();
-        s.deliveries = stats_.deliveries - probe_deliveries_before;
-        s.collisions = stats_.collisions - probe_collisions_before;
-        s.drops = stats_.dropped - probe_dropped_before;
+        s.deliveries = stats_.deliveries - probe_before.deliveries;
+        s.collisions = stats_.collisions - probe_before.collisions;
+        s.drops = stats_.dropped - probe_before.dropped;
         s.undecided = undecided_list_.size();
         probe_->on_slot(s);
       }
     }
   }
 
-  /// Run until every node is awake and has decided, or `max_slots` elapse.
-  /// Returns the statistics so far; `all_decided` reports success.
+  /// One global half-slot: `step()` under its half-slot name.
+  void step_half()
+    requires(kTicksPerSlot == 2)
+  {
+    step();
+  }
+
+  /// Run until every node is awake and has decided, or `max_slots` local
+  /// slots elapse (the medium's `end_tick`).  Returns the statistics so
+  /// far; `all_decided` reports success.
   ///
-  /// Empty wake gaps are fast-forwarded: while no node is awake and the
+  /// Empty wake gaps are fast-forwarded: while no node takes part and the
   /// next wake lies in the future, stepping consumes no RNG and changes
-  /// no state, so `slot_` jumps straight to the next wake (or the cap).
-  /// The jump requires a pending wake — it cannot fire when the list is
-  /// empty because every woken node died, where the old loop would stop
-  /// after one more step via `all_decided`.
+  /// no state, so the tick jumps straight to the next wake (or the cap).
+  /// The jump requires a pending wake — it cannot fire when the lists are
+  /// empty because every woken node died, where the loop stops after one
+  /// more step via `all_decided`.
   RunStats run(Slot max_slots) {
     URN_CHECK(max_slots > 0);
     if constexpr (T::kEnabled) {
       if (probe_ != nullptr) probe_->begin_run();
     }
-    while (slot_ < max_slots) {
+    const Tick end = M::end_tick(max_slots);
+    while (tick_ < end) {
       if constexpr (C::kEnabled) {
-        if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(*this, slot_);
+        if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(*this, tick_);
       }
-      if (awake_list_.empty() && next_wake_ < wake_order_.size()) {
-        const Slot next = schedule_.wake_slot(wake_order_[next_wake_]);
-        if (next > slot_) {
-          const Slot jumped = (next < max_slots ? next : max_slots) - slot_;
-          slot_ += jumped;
-          stats_.slots_run = slot_;
+      if (medium_.idle() && next_wake_ < wake_order_.size()) {
+        const Tick next = wake_tick(wake_order_[next_wake_]);
+        if (next > tick_) {
+          [[maybe_unused]] const Slot slots_before = stats_.slots_run;
+          tick_ = std::min(next, end);
+          stats_.slots_run = tick_ / kTicksPerSlot;
           if constexpr (T::kEnabled) {
             // Fast-forwarded slots still count toward engine.slots so
             // the exported total matches stats_.slots_run exactly.
-            if (probe_ != nullptr && jumped > 0) {
+            if (probe_ != nullptr && stats_.slots_run > slots_before) {
               obs::telemetry::SlotSample s;
-              s.slots = static_cast<std::uint64_t>(jumped);
+              s.slots =
+                  static_cast<std::uint64_t>(stats_.slots_run - slots_before);
               probe_->on_slot(s);
             }
           }
-          if (slot_ >= max_slots) break;
+          if (tick_ >= end) break;
         }
       }
       step();
@@ -511,19 +643,20 @@ class Engine {
     }
   }
 
-  /// Crash-stop failure injection: from the next slot on, node v neither
-  /// transmits nor receives.  It is excluded from `all_decided` (a dead
-  /// node has no obligation to decide) and compacted out of the live
-  /// lists so later slots never branch on it.  Idempotent: deactivating
-  /// an already-dead node changes no accounting.
-  void deactivate(NodeId v) {
+  /// Crash-stop failure injection (aligned medium only): from the next
+  /// slot on, node v neither transmits nor receives.  It is excluded from
+  /// `all_decided` (a dead node has no obligation to decide) and
+  /// compacted out of the live lists so later slots never branch on it.
+  /// Idempotent: deactivating an already-dead node changes no accounting.
+  void deactivate(NodeId v)
+    requires std::same_as<M, AlignedMedium>
+  {
     URN_CHECK(v < nodes_.size());
     if ((status_[v] & kDeadBit) != 0) return;
     status_[v] |= kDeadBit;
-    rx_[v] = 0;  // no longer a listening candidate
     if (decision_slot_[v] == kUndecided) --pending_live_;
     if ((status_[v] & kAwakeBit) != 0) {
-      std::erase(awake_list_, v);
+      medium_.remove(v);
       std::erase(undecided_list_, v);
     }
   }
@@ -540,78 +673,42 @@ class Engine {
 
   /// Serialize the complete engine state (a checkpoint's engine-state
   /// section).  Everything a freshly constructed engine cannot
-  /// reconstruct from its constructor arguments is written: the slot
-  /// cursor, per-node status/decision arrays, live lists, wake cursor,
-  /// all RNG streams (medium + per-node), aggregate stats, and every
-  /// node's protocol state.  The per-slot scratch (the rx_ touch bits,
-  /// transmitters_, touched_) is never read across slot boundaries, so
-  /// it is deliberately skipped — a resumed engine's fresh scratch
-  /// behaves identically (the persistent rx_ awake flags are rebuilt
-  /// from status_ on load).
+  /// reconstruct from its constructor arguments is written: the tick
+  /// cursor, aggregate stats, the medium's section (which also places the
+  /// per-node status/decision arrays, lists and cursors where that
+  /// medium's v1 layout has them), all per-node RNG streams and every
+  /// node's protocol state.  Per-tick scratch is never read across tick
+  /// boundaries, so it is deliberately skipped.
   void save_state(obs::postmortem::Writer& w) const {
     w.u64(nodes_.size());
-    w.i64(slot_);
+    w.i64(tick_);
     w.i64(stats_.slots_run);
     w.u64(stats_.transmissions);
     w.u64(stats_.deliveries);
     w.u64(stats_.collisions);
     w.u64(stats_.dropped);
     w.boolean(stats_.all_decided);
-    obs::postmortem::write_rng(w, medium_rng_);
-    for (const std::uint8_t s : status_) w.u8(s);
-    for (const Slot s : decision_slot_) w.i64(s);
-    w.u64(awake_list_.size());
-    for (const NodeId v : awake_list_) w.u32(v);
-    w.u64(undecided_list_.size());
-    for (const NodeId v : undecided_list_) w.u32(v);
-    w.u64(next_wake_);
-    w.boolean(id_ordered_);
-    w.u64(pending_live_);
+    medium_.save(w, *this);
     for (const Rng& r : rngs_) obs::postmortem::write_rng(w, r);
     for (const P& node : nodes_) node.save_state(w);
   }
 
   /// Restore state written by `save_state` into a freshly constructed
-  /// engine (same graph, schedule, seed and medium — the scenario section
-  /// of the checkpoint carries them).  Returns false on a truncated or
-  /// inconsistent buffer; the engine must not be used after a failed
-  /// load.  After a successful load, `run()` continues the original run
-  /// bit-identically.
+  /// engine (same graph, schedule, seed and medium arguments — the
+  /// scenario section of the checkpoint carries them).  Returns false on
+  /// a truncated or inconsistent buffer; the engine must not be used
+  /// after a failed load.  After a successful load, `run()` continues the
+  /// original run bit-identically.
   [[nodiscard]] bool load_state(obs::postmortem::Reader& r) {
     if (r.u64() != nodes_.size()) return false;
-    slot_ = r.i64();
+    tick_ = r.i64();
     stats_.slots_run = r.i64();
     stats_.transmissions = r.u64();
     stats_.deliveries = r.u64();
     stats_.collisions = r.u64();
     stats_.dropped = r.u64();
     stats_.all_decided = r.boolean();
-    if (!obs::postmortem::read_rng(r, medium_rng_)) return false;
-    for (std::uint8_t& s : status_) s = r.u8();
-    // The persistent part of the medium word is a pure function of
-    // status_; the per-slot touch bits are always clear between slots,
-    // which is when checkpoints are taken.
-    for (NodeId v = 0; v < status_.size(); ++v) {
-      rx_[v] = status_[v] == kAwakeBit ? kRxAwake : 0;
-    }
-    for (Slot& s : decision_slot_) s = r.i64();
-    const std::uint64_t n_awake = r.u64();
-    if (!r.ok() || n_awake > nodes_.size()) return false;
-    awake_list_.clear();
-    for (std::uint64_t i = 0; i < n_awake; ++i) {
-      awake_list_.push_back(static_cast<NodeId>(r.u32()));
-    }
-    const std::uint64_t n_undecided = r.u64();
-    if (!r.ok() || n_undecided > nodes_.size()) return false;
-    undecided_list_.clear();
-    for (std::uint64_t i = 0; i < n_undecided; ++i) {
-      undecided_list_.push_back(static_cast<NodeId>(r.u32()));
-    }
-    next_wake_ = static_cast<std::size_t>(r.u64());
-    if (next_wake_ > wake_order_.size()) return false;
-    id_ordered_ = r.boolean();
-    pending_live_ = static_cast<std::size_t>(r.u64());
-    if (pending_live_ > nodes_.size()) return false;
+    if (!r.ok() || !medium_.load(r, *this)) return false;
     for (Rng& rng : rngs_) {
       if (!obs::postmortem::read_rng(r, rng)) return false;
     }
@@ -621,19 +718,22 @@ class Engine {
     return r.ok();
   }
 
-  [[nodiscard]] Slot current_slot() const { return slot_; }
+  /// Slots covered so far (`stats().slots_run` between ticks).
+  [[nodiscard]] Slot current_slot() const { return tick_ / kTicksPerSlot; }
   [[nodiscard]] const RunStats& stats() const { return stats_; }
   [[nodiscard]] const P& node(NodeId v) const { return nodes_.at(v); }
   [[nodiscard]] P& node(NodeId v) { return nodes_.at(v); }
   [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
   [[nodiscard]] const WakeSchedule& schedule() const { return schedule_; }
 
-  /// Slot in which v's `decided()` first became true (kUndecided if never).
+  /// Local slot in which v's `decided()` first became true (kUndecided
+  /// if never).
   [[nodiscard]] Slot decision_slot(NodeId v) const {
     return decision_slot_.at(v);
   }
 
-  /// T_v of Sect. 2: slots between wake-up and irrevocable decision.
+  /// T_v of Sect. 2: local slots between wake-up and irrevocable
+  /// decision.
   [[nodiscard]] Slot decision_latency(NodeId v) const {
     URN_CHECK(decision_slot_.at(v) != kUndecided);
     return decision_slot_[v] - schedule_.wake_slot(v);
@@ -642,24 +742,113 @@ class Engine {
   static constexpr Slot kUndecided = -1;
 
  private:
-  // Per-node status bits (one byte per node; vector<bool> bit ops were a
-  // measurable hot-path cost, and one byte encodes both flags so the
-  // common "live awake listener?" test is a single compare with 0x1).
+  friend M;
+
+  Engine(M medium, const graph::Graph& g, WakeSchedule schedule,
+         std::vector<P> nodes, std::uint64_t seed, S* sink)
+      : graph_(g),
+        schedule_(std::move(schedule)),
+        nodes_(std::move(nodes)),
+        hot_(g.num_nodes()),
+        medium_(std::move(medium)),
+        sink_(sink),
+        status_(g.num_nodes(), 0),
+        decision_slot_(g.num_nodes(), kUndecided),
+        pending_live_(g.num_nodes()) {
+    URN_CHECK(nodes_.size() == graph_.num_nodes());
+    URN_CHECK(schedule_.size() == graph_.num_nodes());
+    if constexpr (kHasHotState<P>) {
+      // Attach AFTER the node vector is moved into place: the pointers
+      // nodes keep into the block stay valid for the engine's lifetime.
+      for (P& node : nodes_) node.attach_hot(&hot_);
+    }
+    rngs_.reserve(graph_.num_nodes());
+    for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
+      rngs_.emplace_back(mix_seed(seed, v));
+    }
+    // Wake order: nodes sorted by (wake tick, id) for an O(1) amortized
+    // wake scan.  The id tie-break makes the order — and with it the
+    // per-tick transmitter order, which fixes the medium-RNG draw
+    // sequence under drop_probability > 0 — a specification the
+    // reference engine can reproduce, not an artifact of the sort
+    // implementation.
+    wake_order_.resize(graph_.num_nodes());
+    for (NodeId v = 0; v < graph_.num_nodes(); ++v) wake_order_[v] = v;
+    std::sort(wake_order_.begin(), wake_order_.end(),
+              [this](NodeId a, NodeId b) {
+                const Tick wa = wake_tick(a);
+                const Tick wb = wake_tick(b);
+                return wa != wb ? wa < wb : a < b;
+              });
+  }
+
+  // Per-node status bits (one byte per node; one byte encodes both flags
+  // so the common "live awake?" test is a single compare with 0x1).
   static constexpr std::uint8_t kAwakeBit = 0x1;
   static constexpr std::uint8_t kDeadBit = 0x2;
 
-  // Layout of the per-node medium word rx_ (see step section 3): the
-  // top bit is the persistent "live awake listener" flag (maintained on
-  // wake / deactivate / load_state), the next two bits are the per-slot
-  // touch state, and the low 29 bits hold the transmitter index while
-  // the state is kRxClean.  Between slots every word is either 0 or
-  // exactly kRxAwake.
-  static constexpr std::uint32_t kRxAwake = 1u << 31;
-  static constexpr std::uint32_t kRxClean = 1u << 29;
-  static constexpr std::uint32_t kRxCollided = 2u << 29;
-  static constexpr std::uint32_t kRxSelf = 3u << 29;
-  static constexpr std::uint32_t kRxStateMask = 3u << 29;
-  static constexpr std::uint32_t kRxSrcMask = (1u << 29) - 1;
+  [[nodiscard]] Tick wake_tick(NodeId v) const {
+    return kTicksPerSlot * schedule_.wake_slot(v) + medium_.phase(v);
+  }
+
+  /// v's local slot at tick h (h at or after v's first slot start).
+  [[nodiscard]] Slot local_slot(NodeId v, Tick h) const {
+    return (h - medium_.phase(v)) / kTicksPerSlot;
+  }
+
+  // ---- reception outcomes, reported by the medium's `resolve` ----------
+
+  void deliver(NodeId u, const Message& msg, Slot local) {
+    ++stats_.deliveries;
+    emit([&] {
+      return obs::Event::delivery(local, u, msg.sender,
+                                  static_cast<std::uint8_t>(msg.type),
+                                  msg.color_index);
+    });
+    SlotContext ctx = context(u, local);
+    nodes_[u].on_receive(ctx, msg);
+  }
+
+  void collide(NodeId u, Slot local) {
+    ++stats_.collisions;
+    emit([&] { return obs::Event::collision(local, u); });
+  }
+
+  void drop(NodeId u, const Message& msg, Slot local) {
+    ++stats_.dropped;
+    emit([&] {
+      return obs::Event::drop(local, u, msg.sender,
+                              static_cast<std::uint8_t>(msg.type));
+    });
+  }
+
+  // ---- blob pieces shared by the media's layouts ------------------------
+
+  void save_status(obs::postmortem::Writer& w) const {
+    for (const std::uint8_t s : status_) w.u8(s);
+    for (const Slot s : decision_slot_) w.i64(s);
+  }
+
+  void load_status(obs::postmortem::Reader& r) {
+    for (std::uint8_t& s : status_) s = r.u8();
+    for (Slot& s : decision_slot_) s = r.i64();
+  }
+
+  /// Rebuild the undecided list (live awake nodes without a decision) in
+  /// the order a straight run keeps it, for layouts that do not store it.
+  void rebuild_undecided() {
+    id_ordered_ = next_wake_ >= wake_order_.size();
+    undecided_list_.clear();
+    for (std::size_t i = 0; i < next_wake_; ++i) {
+      const NodeId v = wake_order_[i];
+      if (status_[v] == kAwakeBit && decision_slot_[v] == kUndecided) {
+        undecided_list_.push_back(v);
+      }
+    }
+    if (id_ordered_) {
+      std::sort(undecided_list_.begin(), undecided_list_.end());
+    }
+  }
 
   /// Emit an event built by `make` — compiled away entirely for NullSink
   /// (the lambda is never instantiated, so event construction costs
@@ -712,32 +901,24 @@ class Engine {
   /// Nodes hold raw pointers into it, so the engine is neither copyable
   /// nor movable (see the deleted special members above).
   HotStateOf<P> hot_;
-  MediumOptions medium_;
-  Rng medium_rng_;
+  M medium_;
   S* sink_;
   obs::SpanSink* spans_ = nullptr;  ///< wall-clock phase spans (optional)
   T* probe_ = nullptr;              ///< telemetry probe (optional)
   C* ckpt_ = nullptr;               ///< postmortem checkpointer (optional)
   std::vector<Rng> rngs_;
 
-  Slot slot_ = 0;
+  Tick tick_ = 0;
   std::vector<std::uint8_t> status_;     ///< kAwakeBit | kDeadBit per node
-  std::vector<NodeId> awake_list_;       ///< live awake nodes, wake order
-  std::vector<NodeId> undecided_list_;   ///< live awake undecided subset
+  std::vector<NodeId> undecided_list_;   ///< live awake undecided nodes
   std::vector<NodeId> wake_order_;
   std::size_t next_wake_ = 0;
-  bool id_ordered_ = false;  ///< live lists re-sorted to id order yet?
+  bool id_ordered_ = false;  ///< lists re-sorted to id order yet?
   std::vector<Slot> decision_slot_;
   /// Live (non-dead) nodes without a recorded decision — the O(1)
   /// termination counter behind `all_decided()`.
   std::size_t pending_live_ = 0;
-
-  /// Per-node medium word: persistent awake flag + per-slot touch state
-  /// (see the kRx* constants).  The dirtied entries are wiped at the end
-  /// of every slot, so no wholesale clear is ever needed.
-  std::vector<std::uint32_t> rx_;
-  std::vector<Message> transmitters_;
-  std::vector<NodeId> touched_;  ///< live listeners touched this slot
+  std::vector<Message> transmitters_;  ///< this tick's frames, sweep order
 
   RunStats stats_;
 };

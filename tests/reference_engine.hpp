@@ -20,6 +20,17 @@
 ///     process every live awake listener at its FIRST visit only.  A
 ///     clean (count == 1) listener that is not itself transmitting draws
 ///     the drop chance from the medium RNG at that moment.
+///
+/// The half-slot mode (constructed with per-node phase offsets) is the
+/// naive twin of the engine's half-slot medium (radio/misaligned_engine.hpp):
+/// global time in half-slots, node v's local slot t on halves 2t+φ_v and
+/// 2t+φ_v+1, a frame on both halves of its sender's slot, and a frame
+/// received iff the listener was awake and silent on both halves and it
+/// was the only frame audible there.  Every half it rebuilds both
+/// per-half neighbor-count arrays from an explicit frame list, and it
+/// records a decision at the end of the half in the node's own local
+/// slot.  It has no drop, deactivation or fast-forward, and its frame
+/// order is irrelevant: at most one frame can reach a listener per half.
 
 #pragma once
 
@@ -59,6 +70,14 @@ class ReferenceEngine {
     awake_.assign(graph_.num_nodes(), false);
     dead_.assign(graph_.num_nodes(), false);
     decision_slot_.assign(graph_.num_nodes(), -1);
+  }
+
+  /// Half-slot mode: `offsets[v]` ∈ {0, 1} is node v's phase in halves.
+  ReferenceEngine(const graph::Graph& g, radio::WakeSchedule schedule,
+                  std::vector<P> nodes, std::vector<std::uint8_t> offsets,
+                  std::uint64_t seed)
+      : ReferenceEngine(g, std::move(schedule), std::move(nodes), seed) {
+    offsets_ = std::move(offsets);
   }
 
   void step() {
@@ -145,12 +164,85 @@ class ReferenceEngine {
     stats_.slots_run = slot_;
   }
 
+  /// One global half-slot of the half-slot mode.
+  void step_half() {
+    const std::int64_t h = half_;
+    const std::size_t n = graph_.num_nodes();
+    const auto local = [&](graph::NodeId v) {
+      return (h - static_cast<std::int64_t>(offsets_[v])) / 2;
+    };
+
+    // Nodes whose local slot starts at h wake if due, then run it.
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (offsets_[v] != (h & 1)) continue;
+      if (!awake_[v] && schedule_.wake_slot(v) <= local(v)) {
+        awake_[v] = true;
+        auto ctx = context(v, local(v));
+        nodes_[v].on_wake(ctx);
+      }
+      if (!awake_[v]) continue;
+      auto ctx = context(v, local(v));
+      if (std::optional<radio::Message> msg = nodes_[v].on_slot(ctx)) {
+        ++stats_.transmissions;
+        frames_.push_back({*msg, h});
+      }
+    }
+
+    // Frames audible at each node on halves h-1 and h, counted from
+    // scratch; a frame is on air on halves start and start+1.
+    std::vector<std::uint32_t> count_prev(n, 0), count_now(n, 0);
+    std::vector<bool> silent(n, true);  // sent nothing on h-1 or h
+    for (const Frame& f : frames_) {
+      const graph::NodeId s = f.msg.sender;
+      const bool on_prev = f.start == h - 2 || f.start == h - 1;
+      const bool on_now = f.start == h - 1 || f.start == h;
+      if (on_prev || on_now) silent[s] = false;
+      for (graph::NodeId u : graph_.neighbors(s)) {
+        if (on_prev) ++count_prev[u];
+        if (on_now) ++count_now[u];
+      }
+    }
+
+    // Frames that started at h-1 end with this half.
+    for (const Frame& f : frames_) {
+      if (f.start != h - 1) continue;
+      for (graph::NodeId u : graph_.neighbors(f.msg.sender)) {
+        if (!awake_[u] || !silent[u]) continue;
+        if (count_prev[u] == 1 && count_now[u] == 1) {
+          ++stats_.deliveries;
+          auto ctx = context(u, local(u));
+          nodes_[u].on_receive(ctx, f.msg);
+        } else if (count_prev[u] >= 2 || count_now[u] >= 2) {
+          ++stats_.collisions;
+        }
+      }
+    }
+    std::erase_if(frames_, [h](const Frame& f) { return f.start < h - 1; });
+
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (awake_[v] && decision_slot_[v] == -1 && nodes_[v].decided()) {
+        decision_slot_[v] = local(v);
+      }
+    }
+    ++half_;
+    stats_.slots_run = half_ / 2;
+  }
+
   /// Mirrors Engine::run's loop (step, then stop once all decided) —
   /// minus the fast-forward, which must be unobservable in the results.
+  /// The half-slot mode runs to 2·max_slots + 2 halves, as the engine's
+  /// half-slot medium does.
   radio::RunStats run(radio::Slot max_slots) {
-    while (slot_ < max_slots) {
-      step();
-      if (all_decided()) break;
+    if (offsets_.empty()) {
+      while (slot_ < max_slots) {
+        step();
+        if (all_decided()) break;
+      }
+    } else {
+      while (half_ < 2 * max_slots + 2) {
+        step_half();
+        if (all_decided()) break;
+      }
     }
     stats_.all_decided = all_decided();
     return stats_;
@@ -189,6 +281,11 @@ class ReferenceEngine {
     return ctx;
   }
 
+  struct Frame {
+    radio::Message msg;
+    std::int64_t start;  ///< first of the frame's two halves
+  };
+
   const graph::Graph& graph_;
   radio::WakeSchedule schedule_;
   std::vector<P> nodes_;
@@ -200,6 +297,9 @@ class ReferenceEngine {
   std::vector<bool> dead_;
   std::vector<radio::Slot> decision_slot_;
   radio::Slot slot_ = 0;
+  std::vector<std::uint8_t> offsets_;  ///< empty = aligned mode
+  std::int64_t half_ = 0;
+  std::vector<Frame> frames_;  ///< frames still on air or just ended
   radio::RunStats stats_;
 };
 

@@ -98,28 +98,63 @@ TEST(Misaligned, ReceiverBusyDuringEitherHalfMissesFrame) {
 }
 
 TEST(Misaligned, MatchesAlignedEngineWhenAllOffsetsZero) {
-  // With identical offsets the medium is slot-aligned; the protocol must
-  // produce a valid coloring just like on radio::Engine.
-  Rng rng(5);
-  const auto net = graph::random_udg(60, 5.5, 1.4, rng);
-  const auto delta = std::max(2u, net.graph.max_closed_degree());
-  const core::Params p =
-      core::Params::practical(net.graph.num_nodes(), delta, 5, 12);
-  std::vector<core::ColoringNode> nodes;
-  for (graph::NodeId v = 0; v < net.graph.num_nodes(); ++v) {
-    nodes.emplace_back(&p, v);
+  // With every offset 0 the half-slot medium is slot-aligned, so each
+  // node sees exactly the aligned run: same colors, decision slots and
+  // transmissions.  Three counters differ by construction, and are
+  // pinned here:
+  //  * a frame sent in local slot t ends, and is delivered, on half
+  //    2t+1; the run stops after the half in which the last node decides
+  //    (its threshold slot, half 2t), so `slots_run` is one lower and the
+  //    final slot's frames are never delivered;
+  //  * a collision is counted once per (frame, listener) pair, where the
+  //    aligned medium counts one per listener-slot: at least twice the
+  //    aligned count, since every collision involves two or more frames.
+  for (const bool sync : {true, false}) {
+    for (const std::uint64_t seed : {5ull, 6ull, 7ull}) {
+      Rng rng(seed);
+      const auto net = graph::random_udg(60, 5.5, 1.4, rng);
+      const std::size_t n = net.graph.num_nodes();
+      const auto delta = std::max(2u, net.graph.max_closed_degree());
+      const core::Params p = core::Params::practical(n, delta, 5, 12);
+      Rng wrng(seed + 100);
+      const WakeSchedule schedule = sync ? WakeSchedule::synchronous(n)
+                                         : WakeSchedule::uniform(n, 300, wrng);
+      std::vector<core::ColoringNode> a_nodes, h_nodes;
+      for (graph::NodeId v = 0; v < n; ++v) {
+        a_nodes.emplace_back(&p, v);
+        h_nodes.emplace_back(&p, v);
+      }
+      const Slot budget = 300 + 40 * p.threshold();
+
+      // The aligned run, stepped so the stats before its last slot are
+      // known (Engine::run's stopping rule, minus the fast-forward).
+      Engine<core::ColoringNode> aligned(net.graph, schedule,
+                                         std::move(a_nodes), seed);
+      RunStats before_last;
+      while (aligned.current_slot() < budget && !aligned.all_decided()) {
+        before_last = aligned.stats();
+        aligned.step();
+      }
+      ASSERT_TRUE(aligned.all_decided());
+      const RunStats& a = aligned.stats();
+
+      MisalignedEngine<core::ColoringNode> half(
+          net.graph, schedule, std::move(h_nodes),
+          std::vector<std::uint8_t>(n, 0), seed);
+      const RunStats h = half.run(budget);
+      ASSERT_TRUE(h.all_decided);
+
+      for (graph::NodeId v = 0; v < n; ++v) {
+        EXPECT_EQ(half.node(v).color(), aligned.node(v).color()) << v;
+        EXPECT_EQ(half.decision_slot(v), aligned.decision_slot(v)) << v;
+      }
+      EXPECT_EQ(h.transmissions, a.transmissions);
+      EXPECT_EQ(h.slots_run, a.slots_run - 1);
+      EXPECT_EQ(h.deliveries, before_last.deliveries);
+      EXPECT_GE(h.collisions, 2 * before_last.collisions);
+      EXPECT_EQ(h.dropped, 0u);
+    }
   }
-  MisalignedEngine<core::ColoringNode> eng(
-      net.graph, WakeSchedule::synchronous(net.graph.num_nodes()),
-      std::move(nodes),
-      std::vector<std::uint8_t>(net.graph.num_nodes(), 0), 7);
-  const RunStats stats = eng.run(40 * p.threshold());
-  ASSERT_TRUE(stats.all_decided);
-  std::vector<graph::Color> colors(net.graph.num_nodes());
-  for (graph::NodeId v = 0; v < net.graph.num_nodes(); ++v) {
-    colors[v] = eng.node(v).color();
-  }
-  EXPECT_TRUE(graph::validate(net.graph, colors).valid());
 }
 
 class MisalignedProtocol : public ::testing::TestWithParam<int> {};

@@ -363,5 +363,88 @@ TEST(RunnerPostmortem, ResumeRejectsCorruptEngineState) {
   EXPECT_FALSE(resumed.error.empty());
 }
 
+// ---- golden URNC v1 fixtures ---------------------------------------------
+//
+// tests/fixtures/*_v1.urnc were written by the build that preceded the
+// single-engine refactor, so they pin that checkpoints from an older
+// build keep loading and resume to exactly the run they froze.  Each
+// expectation is the uninterrupted run's final stats and an FNV-1a
+// digest over (color, decision slot) per node.  The scenarios:
+//  * aligned: random_udg(40, 4.5, 1.4) with Rng(2024), uniform wake in
+//    300 slots with Rng(2025), drop 0.1, seed 2026, practical(n, Δ, 5,
+//    12), the runner's default slot budget; snapshot at slot 200;
+//  * misaligned: gnp(40, 0.12) with Rng(3024), uniform wake in 300 slots
+//    with Rng(3025), random offsets from Rng(3027), seed 3026, budget
+//    4·threshold + 2000; snapshot at the odd half 401.
+// They must never be regenerated: a mismatch means the v1 reader broke.
+
+struct GoldenRun {
+  const char* file;
+  pm::EngineKind kind;
+  std::int64_t position;
+  radio::RunStats stats;
+  graph::Color max_color;
+  std::uint64_t digest;
+};
+
+std::uint64_t color_decision_digest(const core::RunResult& r) {
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (std::size_t v = 0; v < r.colors.size(); ++v) {
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(r.colors[v])));
+    mix(static_cast<std::uint64_t>(r.decision_slot[v]));
+  }
+  return h;
+}
+
+class GoldenCheckpoint : public ::testing::TestWithParam<GoldenRun> {};
+
+TEST_P(GoldenCheckpoint, V1FixtureResumesToRecordedRun) {
+  const GoldenRun& g = GetParam();
+  const core::LoadedCheckpoint ck =
+      core::load_checkpoint(std::string(URN_FIXTURE_DIR) + "/" + g.file);
+  ASSERT_TRUE(ck.ok) << ck.error;
+  EXPECT_EQ(ck.version, 1);
+  EXPECT_EQ(ck.kind, g.kind);
+  EXPECT_EQ(ck.position, g.position);
+
+  const core::ResumeResult resumed = core::resume_coloring(ck);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  const radio::RunStats& s = resumed.run.medium;
+  EXPECT_EQ(s.slots_run, g.stats.slots_run);
+  EXPECT_EQ(s.transmissions, g.stats.transmissions);
+  EXPECT_EQ(s.deliveries, g.stats.deliveries);
+  EXPECT_EQ(s.collisions, g.stats.collisions);
+  EXPECT_EQ(s.dropped, g.stats.dropped);
+  EXPECT_EQ(s.all_decided, g.stats.all_decided);
+  EXPECT_TRUE(resumed.run.check.valid());
+  EXPECT_EQ(resumed.run.max_color, g.max_color);
+  EXPECT_EQ(color_decision_digest(resumed.run), g.digest);
+
+  const core::CheckpointSummary summary = core::describe_checkpoint(ck);
+  ASSERT_TRUE(summary.ok) << summary.error;
+  EXPECT_EQ(summary.nodes.size(), ck.scenario.num_nodes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixtures, GoldenCheckpoint,
+    ::testing::Values(
+        GoldenRun{"aligned_v1.urnc", pm::EngineKind::kAligned, 200,
+                  radio::RunStats{20574, 12666, 72782, 4986, 8137, true}, 130,
+                  0xfaee6d9516dcf3daull},
+        GoldenRun{"misaligned_v1.urnc", pm::EngineKind::kMisaligned, 401,
+                  radio::RunStats{10108, 9516, 33794, 7735, 0, true}, 91,
+                  0x85bb3f3b18cfe043ull}),
+    [](const ::testing::TestParamInfo<GoldenRun>& param_info) {
+      return param_info.param.kind == pm::EngineKind::kAligned
+                 ? std::string("aligned")
+                 : std::string("misaligned");
+    });
+
 }  // namespace
 }  // namespace urn

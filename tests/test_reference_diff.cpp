@@ -324,6 +324,151 @@ TEST(EngineDiffBatch, TracedScalarLoopMatchesUntracedBatchLoop) {
   }
 }
 
+// ---- half-slot medium against the naive reference --------------------------
+//
+// The half-slot medium (non-aligned slots, Sect. 2) against the naive
+// half-slot mode of the reference engine: whole runs through run(), so
+// the wake-gap fast-forward, the per-parity participation lists and the
+// in-flight frame bookkeeping all meet a from-scratch recount.  Offsets
+// cover the mixed case and both single-parity cases (where one list
+// holds every node); wake patterns cover all-at-once, staggered, and
+// waves separated by long silences.
+
+using HalfSlotCase = std::tuple<std::string, std::string, std::string,
+                                std::uint64_t>;
+
+graph::Graph make_halfslot_graph(const std::string& family,
+                                 std::uint64_t seed) {
+  if (family != "big") return make_graph(family, seed);
+  Rng rng(seed);
+  auto walls = graph::random_walls(6, 6.0, 1.0, 3.0, rng);
+  return graph::random_obstacle_big(70, 6.0, 1.4, std::move(walls), rng)
+      .graph;
+}
+
+std::vector<std::uint8_t> make_offsets(const std::string& kind,
+                                       std::size_t n, std::uint64_t seed) {
+  if (kind == "zero") return std::vector<std::uint8_t>(n, 0);
+  if (kind == "one") return std::vector<std::uint8_t>(n, 1);
+  Rng orng(mix_seed(seed, 5));
+  return radio::MisalignedEngine<core::ColoringNode>::random_offsets(n, orng);
+}
+
+/// Wake slots and the matching run budget (in local slots).
+std::pair<radio::WakeSchedule, radio::Slot> make_wakes(
+    const std::string& kind, std::size_t n, std::uint64_t seed,
+    const core::Params& params) {
+  const radio::Slot tail = 4 * params.threshold() + 2000;
+  if (kind == "sync") return {radio::WakeSchedule::synchronous(n), tail};
+  if (kind == "uniform") {
+    Rng wrng(mix_seed(seed, 77));
+    return {radio::WakeSchedule::uniform(n, 600, wrng), 600 + tail};
+  }
+  // Two waves after a long initial silence, a longer one between them.
+  std::vector<radio::Slot> wakes(n);
+  for (std::size_t v = 0; v < n; ++v) wakes[v] = v % 2 == 0 ? 3000 : 8000;
+  return {radio::WakeSchedule{std::move(wakes)}, 8000 + tail};
+}
+
+std::vector<core::ColoringNode> make_nodes(const core::Params& params,
+                                           std::size_t n) {
+  std::vector<core::ColoringNode> nodes;
+  nodes.reserve(n);
+  for (graph::NodeId v = 0; v < n; ++v) nodes.emplace_back(&params, v);
+  return nodes;
+}
+
+/// Every node's serialized protocol state, equal byte for byte.
+template <typename Fast, typename Ref>
+void expect_node_blobs_equal(std::size_t n, const Fast& fast,
+                             const Ref& ref) {
+  for (graph::NodeId v = 0; v < n; ++v) {
+    obs::postmortem::Writer a, b;
+    fast.node(v).save_state(a);
+    ref.node(v).save_state(b);
+    EXPECT_EQ(a.data(), b.data()) << "node " << v;
+  }
+}
+
+class EngineDiffHalfSlot : public ::testing::TestWithParam<HalfSlotCase> {};
+
+TEST_P(EngineDiffHalfSlot, HalfSlotMediumMatchesReference) {
+  const auto& [family, offsets_kind, wake_kind, seed] = GetParam();
+  const graph::Graph g = make_halfslot_graph(family, seed);
+  const std::size_t n = g.num_nodes();
+  const auto delta = std::max(2u, g.max_closed_degree());
+  const core::Params params = core::Params::practical(n, delta, 5, 12);
+  const auto [schedule, budget] = make_wakes(wake_kind, n, seed, params);
+  const auto offsets = make_offsets(offsets_kind, n, seed);
+
+  radio::MisalignedEngine<core::ColoringNode> fast(
+      g, schedule, make_nodes(params, n), offsets, seed);
+  testing::ReferenceEngine<core::ColoringNode> ref(
+      g, schedule, make_nodes(params, n), offsets, seed);
+
+  expect_stats_equal(fast.run(budget), ref.run(budget));
+  EXPECT_GT(fast.stats().deliveries, 0u);
+  expect_nodes_equal(g, fast, ref);
+  expect_node_blobs_equal(n, fast, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, EngineDiffHalfSlot,
+    ::testing::Combine(::testing::Values("udg", "gnp", "big"),
+                       ::testing::Values("random", "zero", "one"),
+                       ::testing::Values("sync", "uniform", "delayed"),
+                       ::testing::Values(101ull, 102ull)),
+    [](const ::testing::TestParamInfo<HalfSlotCase>& param_info) {
+      return std::get<0>(param_info.param) + "_" +
+             std::get<1>(param_info.param) + "_" +
+             std::get<2>(param_info.param) + "_s" +
+             std::to_string(std::get<3>(param_info.param));
+    });
+
+// The half-slot counterpart of EngineDiffBatch: a traced instantiation
+// (scalar `on_slot` loop) against the untraced one — same stats, same
+// per-node state, same engine-state blob, at the end of the run and at
+// an odd half mid-run, when frames are on air.
+TEST(EngineDiffBatch, HalfSlotTracedMatchesUntraced) {
+  for (const auto& [offsets_kind, wake_kind, seed] :
+       {std::tuple<std::string, std::string, std::uint64_t>{"random",
+                                                            "uniform", 111},
+        {"zero", "uniform", 112},
+        {"one", "delayed", 113},
+        {"random", "sync", 114}}) {
+    const graph::Graph g = make_halfslot_graph("big", seed);
+    const std::size_t n = g.num_nodes();
+    const auto delta = std::max(2u, g.max_closed_degree());
+    const core::Params params = core::Params::practical(n, delta, 5, 12);
+    const auto [schedule, budget] = make_wakes(wake_kind, n, seed, params);
+    const auto offsets = make_offsets(offsets_kind, n, seed);
+
+    radio::MisalignedEngine<core::ColoringNode> batch(
+        g, schedule, make_nodes(params, n), offsets, seed);
+    obs::MemorySink sink;
+    radio::MisalignedEngine<core::ColoringNode, obs::MemorySink> scalar(
+        g, schedule, make_nodes(params, n), offsets, seed, &sink);
+
+    for (int h = 0; h < 2 * 900 + 1; ++h) {
+      batch.step_half();
+      scalar.step_half();
+    }
+    obs::postmortem::Writer mid_batch, mid_scalar;
+    batch.save_state(mid_batch);
+    scalar.save_state(mid_scalar);
+    EXPECT_EQ(mid_batch.data(), mid_scalar.data()) << offsets_kind << seed;
+
+    expect_stats_equal(batch.run(budget), scalar.run(budget));
+    expect_nodes_equal(g, batch, scalar);
+    EXPECT_GT(sink.size(), 0u);
+
+    obs::postmortem::Writer blob_batch, blob_scalar;
+    batch.save_state(blob_batch);
+    scalar.save_state(blob_scalar);
+    EXPECT_EQ(blob_batch.data(), blob_scalar.data()) << offsets_kind << seed;
+  }
+}
+
 // ---- checkpoint → resume fuzz grid (postmortem) ---------------------------
 //
 // The postmortem contract: serializing an engine mid-run and resuming
