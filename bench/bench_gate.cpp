@@ -126,13 +126,8 @@ int main(int argc, char** argv) {
         Rng wrng(mix_seed(0xCA7EB, t));
         const auto ws =
             radio::WakeSchedule::uniform(n, 2 * mp.params.threshold(), wrng);
-        const auto run =
-            trace.telemetry != nullptr
-                ? core::run_leader_election_traced(net.graph, mp.params, ws,
-                                                   mix_seed(0xCA7EC, t),
-                                                   leader_opts)
-                : core::run_leader_election(net.graph, mp.params, ws,
-                                            mix_seed(0xCA7EC, t));
+        const auto run = core::run_leader_election_traced(
+            net.graph, mp.params, ws, mix_seed(0xCA7EC, t), leader_opts);
         if (run.all_covered) ++acc.covered;
         acc.ledger.add("leaders", static_cast<double>(run.leaders.size()));
         double max_cover = 0.0;

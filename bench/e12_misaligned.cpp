@@ -62,16 +62,12 @@ int main() {
       aligned_max.add(lat.max());
 
       // Misaligned (random half-slot phases).
-      std::vector<core::ColoringNode> nodes;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        nodes.emplace_back(&mp.params, v);
-      }
       Rng orng(mix_seed(0xE12B, t));
       auto offsets =
           radio::MisalignedEngine<core::ColoringNode>::random_offsets(n,
                                                                       orng);
       radio::MisalignedEngine<core::ColoringNode> eng(
-          net.graph, ws, std::move(nodes), std::move(offsets),
+          net.graph, ws, core::make_nodes(mp.params, n), std::move(offsets),
           mix_seed(0xE12A, t));
       const auto stats = eng.run(80 * mp.params.threshold());
       URN_CHECK(stats.all_decided);

@@ -78,17 +78,12 @@ int main(int argc, char** argv) {
           Rng wrng(mix_seed(0xE15F, t));
           const auto ws = radio::WakeSchedule::uniform(
               n, 2 * mp.params.threshold(), wrng);
-          // --telemetry-* probes every trial (results bit-identical);
-          // the faulty medium flows through both paths unchanged.
+          // --telemetry-* probes every trial (results bit-identical).
           core::TraceOptions topts;
           topts.telemetry = trace.telemetry;
-          const auto run =
-              trace.telemetry != nullptr
-                  ? core::run_coloring_traced(net.graph, mp.params, ws,
-                                              mix_seed(0xE15A, t), topts, 0,
-                                              medium)
-                  : core::run_coloring(net.graph, mp.params, ws,
-                                       mix_seed(0xE15A, t), 0, medium);
+          const auto run = core::run_coloring_traced(
+              net.graph, mp.params, ws, mix_seed(0xE15A, t), topts, 0,
+              medium);
           if (run.check.valid()) ++acc.valid;
           if (run.all_decided) ++acc.complete;
           acc.mean_t.add(run.mean_latency());
@@ -152,13 +147,9 @@ int main(int argc, char** argv) {
     const CrashPartial part = exec::parallel_for_trials<CrashPartial>(
         trials, eopts,
         [&](CrashPartial& acc, std::size_t t) {
-      std::vector<core::ColoringNode> nodes;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        nodes.emplace_back(&mp.params, v);
-      }
       radio::Engine<core::ColoringNode> eng(
-          net.graph, radio::WakeSchedule::synchronous(n), std::move(nodes),
-          mix_seed(0xE15B, t));
+          net.graph, radio::WakeSchedule::synchronous(n),
+          core::make_nodes(mp.params, n), mix_seed(0xE15B, t));
       // Crash right after the first leaders appear, while many members
       // are still requesting their intra-cluster colors.
       for (radio::Slot s = 0;

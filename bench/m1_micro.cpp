@@ -84,9 +84,9 @@ BENCHMARK(BM_ProtocolSlots)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 void BM_ProtocolSlotsTraced(benchmark::State& state) {
   // Same workload as BM_ProtocolSlots but with a live MetricsSink
   // (window 16) attached — the cost of observability when it is ON.
-  // Compare against BM_ProtocolSlots, which instantiates the engine with
-  // NullSink: that pair quantifies the zero-overhead claim (NullSink is
-  // compiled out) and the marginal cost of live metrics.
+  // Compare against BM_ProtocolSlots, which runs the events-off engine
+  // (no event is built, the protocol sweep stays batched): that pair is
+  // the marginal cost of live metrics.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   const double side = 1.5 * std::sqrt(static_cast<double>(n) / 2.8);
@@ -358,13 +358,12 @@ BENCHMARK(BM_MpColoring)->Arg(1024);
 
 // --- Telemetry family -----------------------------------------------------
 //
-// The zero-overhead claim has two halves.  Disabled: BM_ProtocolSlots
-// runs the engine with the default NullEngineProbe — the probe hooks are
-// `if constexpr`-eliminated, so BM_TelemetryProtocolProbed vs
-// BM_ProtocolSlots is the *entire* cost of turning telemetry on, and
-// there is no disabled-path cost left to measure.  Enabled: the
-// primitives below must stay in the low-ns range (one relaxed fetch_add
-// per counter hit, three per histogram record).
+// The low-overhead claim has two halves.  Disabled: BM_ProtocolSlots
+// runs the same events-off engine with no probe attached — the sampling
+// hook is one null test per slot — so BM_TelemetryProtocolProbed vs
+// BM_ProtocolSlots is the *entire* cost of turning telemetry on.
+// Enabled: the primitives below must stay in the low-ns range (one
+// relaxed fetch_add per counter hit, three per histogram record).
 
 void BM_TelemetryCounterAdd(benchmark::State& state) {
   obs::telemetry::Counter counter;

@@ -113,9 +113,9 @@ CellResult run_cell(const CellSpec& spec, std::size_t reps,
       core::Params::practical(spec.n, delta, 5, 12);
   const radio::WakeSchedule schedule = make_schedule(spec, params);
 
-  // With --telemetry-* the reps run probed (zero-event NullSink engine
-  // path): exact keys stay bit-identical, only the rates shift by the
-  // probe's few-ns-per-slot cost.
+  // With --telemetry-* the reps run probed (events-off engine path):
+  // exact keys stay bit-identical, only the rates shift by the probe's
+  // few-ns-per-slot cost.
   core::TraceOptions topts;
   topts.telemetry = telemetry;
 
@@ -125,14 +125,9 @@ CellResult run_cell(const CellSpec& spec, std::size_t reps,
   r.delta = delta;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     const auto t0 = std::chrono::steady_clock::now();
-    const core::RunResult run =
-        telemetry != nullptr
-            ? core::run_coloring_traced(g, params, schedule,
-                                        mix_seed(0x32AC5D, spec.seed), topts,
-                                        spec.max_slots)
-            : core::run_coloring(g, params, schedule,
-                                 mix_seed(0x32AC5D, spec.seed),
-                                 spec.max_slots);
+    const core::RunResult run = core::run_coloring_traced(
+        g, params, schedule, mix_seed(0x32AC5D, spec.seed), topts,
+        spec.max_slots);
     const std::chrono::duration<double> dt =
         std::chrono::steady_clock::now() - t0;
     r.slots_run = static_cast<std::int64_t>(run.medium.slots_run);

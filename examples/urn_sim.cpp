@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   const bool verbose = flags.get_bool("verbose");
 
   // Live telemetry: every trial runs with an engine probe feeding the
-  // global registry (zero-event NullSink path — see core::TraceOptions),
+  // global registry (events-off engine path — see core::TraceOptions),
   // the pool reports per-worker utilization, and a background snapshotter
   // streams the registry to JSONL / Prometheus.  Probes read counts only,
   // so results stay bit-identical to an uninstrumented run.
@@ -278,14 +278,8 @@ int main(int argc, char** argv) {
               postmortem.dir + "/" + exec::trial_tag(t);
           topts.postmortem.trial = t;
         }
-        const bool use_traced = monitor || telemetry != nullptr ||
-                                postmortem.enabled() || (tracing && t == 0);
-        const auto run =
-            use_traced
-                ? core::run_coloring_traced(net.graph, params, schedule,
-                                            mix_seed(seed, t), topts)
-                : core::run_coloring(net.graph, params, schedule,
-                                     mix_seed(seed, t));
+        const auto run = core::run_coloring_traced(
+            net.graph, params, schedule, mix_seed(seed, t), topts);
         if (run.monitor.has_value()) {
           acc.monitored_events += run.monitor->events_seen;
           if (!run.monitor->ok() && !acc.violation.has_value()) {

@@ -83,8 +83,8 @@ struct TrialExecOptions {
   /// engine probe feeding it (slot/medium counters, the live
   /// `engine.undecided` gauge, decision-latency histogram) and the trial
   /// pool reports per-worker utilization into it.  Telemetry alone keeps
-  /// the zero-event NullSink engine path (see core::TraceOptions) and
-  /// never changes results — probes read counts, they never touch RNG
+  /// the events-off engine path (see core::TraceOptions) and never
+  /// changes results — probes read counts, they never touch RNG
   /// streams.  Not owned; must outlive the call.
   obs::telemetry::Registry* telemetry = nullptr;
   /// Postmortem checkpointing (core::PostmortemOptions).  When enabled,

@@ -1,5 +1,7 @@
 #include "core/checkpoint.hpp"
 
+#include <cmath>
+
 #include "core/protocol.hpp"
 #include "radio/engine.hpp"
 #include "support/check.hpp"
@@ -16,13 +18,20 @@ namespace {
 constexpr std::uint64_t kMaxScenarioNodes = 1ull << 32;
 constexpr std::uint64_t kMaxScenarioEdges = 1ull << 36;
 
-std::vector<ColoringNode> build_nodes(const CheckpointScenario& s) {
-  std::vector<ColoringNode> nodes;
-  nodes.reserve(s.num_nodes);
-  for (graph::NodeId v = 0; v < s.num_nodes; ++v) {
-    nodes.emplace_back(&s.params, v);
+/// False for params a run would refuse (`Params::validate`) or could not
+/// size its phases from (non-finite constants).
+bool usable_params(const Params& p) {
+  if (!std::isfinite(p.alpha) || !std::isfinite(p.beta) ||
+      !std::isfinite(p.gamma) || !std::isfinite(p.sigma) ||
+      p.reset_policy > ResetPolicy::kNone) {
+    return false;
   }
-  return nodes;
+  try {
+    p.validate();
+  } catch (const CheckError&) {
+    return false;
+  }
+  return true;
 }
 
 graph::Graph rebuild_graph(const CheckpointScenario& s) {
@@ -124,7 +133,9 @@ bool read_scenario(pm::Reader& r, CheckpointScenario& out) {
   out.wake_slots.clear();
   out.wake_slots.reserve(static_cast<std::size_t>(n_wake));
   for (std::uint64_t i = 0; i < n_wake; ++i) {
-    out.wake_slots.push_back(r.i64());
+    const Slot slot = r.i64();
+    if (slot < 0) return false;
+    out.wake_slots.push_back(slot);
   }
   const std::uint64_t n_off = r.u64();
   if (!r.ok() || (n_off != 0 && n_off != n)) return false;
@@ -139,8 +150,11 @@ bool read_scenario(pm::Reader& r, CheckpointScenario& out) {
   out.trial = r.u64();
   out.max_slots = r.i64();
   out.medium.drop_probability = r.f64();
-  if (out.max_slots <= 0) return false;
-  return r.ok();
+  // Everything a run's constructors would refuse is corrupt here, so a
+  // bad field fails the load instead of aborting the resume.
+  const double drop = out.medium.drop_probability;
+  if (out.max_slots <= 0 || !(drop >= 0.0 && drop < 1.0)) return false;
+  return r.ok() && usable_params(out.params);
 }
 
 LoadedCheckpoint load_checkpoint(const std::string& path) {
@@ -188,13 +202,14 @@ std::string with_restored_engine(const LoadedCheckpoint& ck,
     return {};
   };
   if (ck.kind == pm::EngineKind::kAligned) {
-    radio::Engine<ColoringNode> engine(ck.graph, schedule, build_nodes(s),
+    radio::Engine<ColoringNode> engine(ck.graph, schedule,
+                                       make_nodes(s.params, s.num_nodes),
                                        s.seed, s.medium);
     return restore(engine, "aligned");
   }
-  radio::MisalignedEngine<ColoringNode> engine(ck.graph, schedule,
-                                               build_nodes(s), s.offsets,
-                                               s.seed);
+  radio::MisalignedEngine<ColoringNode> engine(
+      ck.graph, schedule, make_nodes(s.params, s.num_nodes), s.offsets,
+      s.seed);
   return restore(engine, "misaligned");
 }
 

@@ -62,7 +62,10 @@ struct CheckpointScenario {
 /// as the pre-rendered scenario bytes).
 [[nodiscard]] std::string render_scenario(const CheckpointScenario& s);
 
-/// Decode a scenario section.  Returns false on truncated/corrupt bytes.
+/// Decode a scenario section.  Returns false on truncated/corrupt bytes,
+/// and on any field a run would refuse: a negative wake slot, a drop
+/// probability outside [0, 1) (or NaN), or params `Params::validate`
+/// rejects.
 [[nodiscard]] bool read_scenario(obs::postmortem::Reader& r,
                                  CheckpointScenario& out);
 

@@ -37,243 +37,270 @@ Slot default_slot_budget(const Params& params,
   return schedule.latest() + states * per_state + 10000;
 }
 
+std::vector<ColoringNode> make_nodes(const Params& params, std::size_t n) {
+  std::vector<ColoringNode> nodes;
+  nodes.reserve(n);
+  for (graph::NodeId v = 0; v < n; ++v) nodes.emplace_back(&params, v);
+  return nodes;
+}
+
 namespace {
 
-/// The one shared execution path: build nodes, run the (sink-templated)
-/// engine, extract everything the experiments need.  `run_coloring` calls
-/// this with the zero-overhead NullSink instantiation; the traced variant
-/// with a real sink.
-template <obs::EventSink S,
-          typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer>
-RunResult run_impl(const graph::Graph& g, const Params& params,
-                   const radio::WakeSchedule& schedule, std::uint64_t seed,
-                   Slot max_slots, radio::MediumOptions medium, S* sink,
-                   obs::SpanSink* spans = nullptr, T* probe = nullptr,
-                   C* ckpt = nullptr) {
+namespace pm = obs::postmortem;
+
+/// True when `trace` asks for a consumer of the engine's event stream.
+bool consumes_events(const TraceOptions& trace) {
+  return trace.metrics || !trace.events_jsonl.empty() ||
+         !trace.events_bin.empty() || trace.monitor ||
+         trace.memory != nullptr;
+}
+
+/// The runner's engine observer (obs/observer.hpp).  It owns the
+/// optional consumers `TraceOptions` requests and feeds each directly:
+/// events to the metrics series, the JSONL and binary logs, the online
+/// monitor and the caller's memory capture; slot samples to the
+/// telemetry probe; checkpoint offers to the postmortem checkpointer;
+/// phase spans to the caller's span sink.  Events are the one compile-
+/// time switch (`kEventsOn`): without them the engine keeps its batched
+/// protocol sweep, so each entry point instantiates the engine twice.
+template <bool kEventsOn>
+class RunObserver {
+ public:
+  static constexpr bool kEvents = kEventsOn;
+  static constexpr bool kSamples = true;
+  static constexpr bool kCheckpoints = true;
+  static constexpr bool kSpans = true;
+
+  RunObserver(const graph::Graph& g, const Params& params,
+              const radio::WakeSchedule& schedule, const TraceOptions& trace,
+              pm::Checkpointer* ckpt = nullptr)
+      : memory_(trace.memory), spans_(trace.spans), ckpt_(ckpt) {
+    if (trace.telemetry != nullptr) probe_.emplace(*trace.telemetry);
+    if constexpr (kEventsOn) {
+      if (trace.metrics) metrics_.emplace(trace.metrics_window);
+      if (!trace.events_jsonl.empty()) {
+        jsonl_.emplace(trace.events_jsonl);
+        URN_CHECK_MSG(jsonl_->ok(),
+                      "traced run: cannot open " << trace.events_jsonl);
+      }
+      if (!trace.events_bin.empty()) {
+        bin_.emplace(trace.events_bin, trace.bin_ring);
+        URN_CHECK_MSG(bin_->ok(),
+                      "traced run: cannot open " << trace.events_bin);
+      }
+      if (trace.monitor) {
+        monitor_.emplace(make_monitor_config(g, params, schedule));
+      }
+    }
+  }
+
+  // Events.
+  void record(const obs::Event& e) {
+    if (metrics_) metrics_->record(e);
+    if (jsonl_) jsonl_->record(e);
+    if (bin_) bin_->record(e);
+    if (monitor_) monitor_->record(e);
+    if (memory_ != nullptr) memory_->record(e);
+  }
+  void flush() {
+    if (jsonl_) jsonl_->flush();
+    if (bin_) bin_->flush();
+  }
+
+  // Slot samples.
+  void begin_run() {
+    if (probe_) probe_->begin_run();
+  }
+  void on_slot(const obs::telemetry::SlotSample& s) {
+    if (probe_) probe_->on_slot(s);
+  }
+  void end_run() {
+    if (probe_) probe_->end_run();
+  }
+  [[nodiscard]] obs::telemetry::EngineProbe* probe() {
+    return probe_ ? &*probe_ : nullptr;
+  }
+
+  // Checkpoint offers.
+  template <typename Engine>
+  void maybe_checkpoint(const Engine& engine, radio::Tick tick) {
+    if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(engine, tick);
+  }
+
+  // Phase spans.
+  [[nodiscard]] std::uint64_t now_ns() const {
+    return spans_ != nullptr ? spans_->now_ns() : 0;
+  }
+  void record(const char* name, std::uint32_t track, std::uint64_t start_ns,
+              std::uint64_t dur_ns, std::int64_t arg) {
+    if (spans_ != nullptr) spans_->record(name, track, start_ns, dur_ns, arg);
+  }
+
+  /// Hand the artifacts to a result carrying the shared `series` /
+  /// `events_recorded` / `monitor` fields, and account the tracing
+  /// overhead under `trace.overhead.*` (deterministic event / byte
+  /// counts; the final-flush wall clock lands under `.ns` keys, which the
+  /// bench regression diff ignores).
+  template <typename Result>
+  void finish_into(Result& result) {
+    if (metrics_) result.series = metrics_->finish(result.medium.slots_run);
+    auto& counters = obs::CounterRegistry::global();
+    if (jsonl_ || bin_) {
+      obs::ProfileScope flush_scope("trace.overhead.flush");
+      flush();
+    }
+    if (jsonl_) {
+      result.events_recorded = jsonl_->written();
+      counters.add("trace.overhead.jsonl.events", jsonl_->written());
+      counters.add("trace.overhead.jsonl.bytes", jsonl_->bytes());
+    }
+    if (bin_) {
+      result.events_recorded = bin_->written();
+      counters.add("trace.overhead.bin.events", bin_->written());
+      counters.add("trace.overhead.bin.bytes", bin_->bytes());
+    }
+    if (monitor_) result.monitor = monitor_->report();
+  }
+
+ private:
+  std::optional<obs::MetricsSink> metrics_;
+  std::optional<obs::JsonlSink> jsonl_;
+  std::optional<obs::BinSink> bin_;
+  std::optional<obs::InvariantMonitorSink> monitor_;
+  obs::MemorySink* memory_;
+  std::optional<obs::telemetry::EngineProbe> probe_;
+  obs::SpanSink* spans_;
+  pm::Checkpointer* ckpt_;
+};
+
+/// Validate a run's inputs and resolve its slot budget (0 = default).
+Slot prepare_run(const graph::Graph& g, const Params& params,
+                 const radio::WakeSchedule& schedule, Slot max_slots) {
   params.validate();
   URN_CHECK(schedule.size() == g.num_nodes());
-  if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
+  return max_slots == 0 ? default_slot_budget(params, schedule) : max_slots;
+}
 
-  obs::ProfileScope profile("core.run_coloring");
+/// Call `body` with the observer `trace` asks for: the events-on
+/// instantiation only when some consumer reads the event stream.
+template <typename Body>
+auto with_observer(const graph::Graph& g, const Params& params,
+                   const radio::WakeSchedule& schedule,
+                   const TraceOptions& trace, Body&& body) {
+  if (consumes_events(trace)) {
+    RunObserver<true> observer(g, params, schedule, trace);
+    return body(observer);
+  }
+  RunObserver<false> observer(g, params, schedule, trace);
+  return body(observer);
+}
 
-  std::vector<ColoringNode> nodes;
-  nodes.reserve(g.num_nodes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    nodes.emplace_back(&params, v);
-  }
-  radio::Engine<ColoringNode, S, T, C> engine(g, schedule, std::move(nodes),
-                                              seed, medium, sink);
-  engine.set_span_sink(spans);
-  if constexpr (T::kEnabled) {
-    engine.set_telemetry(probe);
-  }
-  if constexpr (C::kEnabled) {
-    engine.set_checkpointer(ckpt);
-  }
-  const radio::RunStats stats = engine.run(max_slots);
+/// The coloring run path: build nodes, run the engine under `observer`,
+/// extract everything the experiments need.
+template <typename O>
+RunResult run_impl(const graph::Graph& g, const Params& params,
+                   const radio::WakeSchedule& schedule, std::uint64_t seed,
+                   Slot max_slots, radio::MediumOptions medium,
+                   O& observer) {
+  RunResult result;
+  {
+    obs::ProfileScope profile("core.run_coloring");
+    radio::Engine<ColoringNode, O> engine(g, schedule, make_nodes(params, g.num_nodes()),
+                                          seed, medium, &observer);
+    const radio::RunStats stats = engine.run(max_slots);
 
-  // The extraction lives in harvest_coloring so the checkpoint-resume
-  // path (core/checkpoint.cpp) produces field-for-field identical
-  // results by construction.
-  RunResult result = harvest_coloring(engine, g, schedule, stats);
-  if constexpr (T::kEnabled) {
-    if (probe != nullptr) {
+    // The extraction lives in harvest_coloring so the checkpoint-resume
+    // path (core/checkpoint.cpp) produces field-for-field identical
+    // results by construction.
+    result = harvest_coloring(engine, g, schedule, stats);
+    if (obs::telemetry::EngineProbe* probe = observer.probe()) {
       for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (engine.decision_slot(v) !=
-            radio::Engine<ColoringNode, S, T, C>::kUndecided) {
+        if (engine.decision_slot(v) != engine.kUndecided) {
           probe->record_decision_latency(
               static_cast<std::uint64_t>(engine.decision_latency(v)));
         }
       }
     }
-  }
 
-  // Thread-safe `add`: run_impl executes concurrently under the trial
-  // executor (exec::parallel_for_trials).
-  auto& counters = obs::CounterRegistry::global();
-  counters.add("core.run_coloring.runs", 1);
-  counters.add("core.run_coloring.slots",
-               static_cast<std::uint64_t>(stats.slots_run));
-  counters.add("core.run_coloring.node_slots",
-               static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
+    // Thread-safe `add`: run_impl executes concurrently under the trial
+    // executor (exec::parallel_for_trials).
+    auto& counters = obs::CounterRegistry::global();
+    counters.add("core.run_coloring.runs", 1);
+    counters.add("core.run_coloring.slots",
+                 static_cast<std::uint64_t>(stats.slots_run));
+    counters.add("core.run_coloring.node_slots",
+                 static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
+  }
+  observer.finish_into(result);
   return result;
 }
 
 /// Run only the first stage (leader election + cluster association) on
-/// the same sink-templated engine path as `run_impl`: identical node
-/// construction, medium options and event emission — only the stopping
+/// the same engine and observer as `run_impl`: identical node
+/// construction, medium options and observation — only the stopping
 /// rule differs (manual stepping until every node is covered).
-template <obs::EventSink S,
-          typename T = obs::telemetry::NullEngineProbe>
+template <typename O>
 LeaderElectionResult leader_election_impl(const graph::Graph& g,
                                           const Params& params,
                                           const radio::WakeSchedule& schedule,
                                           std::uint64_t seed, Slot max_slots,
-                                          radio::MediumOptions medium, S* sink,
-                                          obs::SpanSink* spans = nullptr,
-                                          T* probe = nullptr) {
-  params.validate();
-  URN_CHECK(schedule.size() == g.num_nodes());
-  if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
-
-  obs::ProfileScope profile("core.run_leader_election");
-
-  std::vector<ColoringNode> nodes;
-  nodes.reserve(g.num_nodes());
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    nodes.emplace_back(&params, v);
-  }
-  radio::Engine<ColoringNode, S, T> engine(g, schedule, std::move(nodes),
-                                           seed, medium, sink);
-  engine.set_span_sink(spans);
-  if constexpr (T::kEnabled) {
-    engine.set_telemetry(probe);
-    // Step()-driven loop below: run()'s automatic probe bracketing never
-    // fires, so bracket the run here.
-    if (probe != nullptr) probe->begin_run();
-  }
-
+                                          radio::MediumOptions medium,
+                                          O& observer) {
   LeaderElectionResult result;
-  result.leader_of.assign(g.num_nodes(), graph::kInvalidNode);
-  result.cover_latency.assign(g.num_nodes(), -1);
+  {
+    obs::ProfileScope profile("core.run_leader_election");
+    radio::Engine<ColoringNode, O> engine(g, schedule, make_nodes(params, g.num_nodes()),
+                                          seed, medium, &observer);
+    // Step()-driven loop: run()'s sample bracketing and final flush never
+    // fire, so they happen here.
+    observer.begin_run();
+    result.leader_of.assign(g.num_nodes(), graph::kInvalidNode);
+    result.cover_latency.assign(g.num_nodes(), -1);
 
-  // "Covered" = decided (leader or any later color) or past A₀ (knows a
-  // leader).  We step manually and record first-coverage times.
-  auto covered = [&engine](graph::NodeId v) {
-    const ColoringNode& node = engine.node(v);
-    if (node.decided()) return true;
-    if (node.phase() == Phase::kRequest) return true;
-    return node.phase() == Phase::kVerify && node.verifying_color() > 0;
-  };
-  std::size_t uncovered = g.num_nodes();
-  while (engine.current_slot() < max_slots && uncovered > 0) {
-    engine.step();
-    const Slot now = engine.current_slot() - 1;
-    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (result.cover_latency[v] >= 0) continue;
-      if (now < schedule.wake_slot(v)) continue;
-      if (covered(v)) {
-        result.cover_latency[v] = now - schedule.wake_slot(v);
-        --uncovered;
+    // "Covered" = decided (leader or any later color) or past A₀ (knows a
+    // leader).  We step manually and record first-coverage times.
+    auto covered = [&engine](graph::NodeId v) {
+      const ColoringNode& node = engine.node(v);
+      if (node.decided()) return true;
+      if (node.phase() == Phase::kRequest) return true;
+      return node.phase() == Phase::kVerify && node.verifying_color() > 0;
+    };
+    std::size_t uncovered = g.num_nodes();
+    while (engine.current_slot() < max_slots && uncovered > 0) {
+      engine.step();
+      const Slot now = engine.current_slot() - 1;
+      for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+        if (result.cover_latency[v] >= 0) continue;
+        if (now < schedule.wake_slot(v)) continue;
+        if (covered(v)) {
+          result.cover_latency[v] = now - schedule.wake_slot(v);
+          --uncovered;
+        }
       }
     }
-  }
-  engine.flush();  // step()-driven loop: run()'s automatic flush never fires
-  result.all_covered = uncovered == 0;
-  result.medium = engine.stats();
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-    const ColoringNode& node = engine.node(v);
-    if (node.is_leader()) result.leaders.push_back(v);
-    result.leader_of[v] = node.leader();
-    if constexpr (T::kEnabled) {
+    engine.flush();
+    result.all_covered = uncovered == 0;
+    result.medium = engine.stats();
+    obs::telemetry::EngineProbe* probe = observer.probe();
+    for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+      const ColoringNode& node = engine.node(v);
+      if (node.is_leader()) result.leaders.push_back(v);
+      result.leader_of[v] = node.leader();
       if (probe != nullptr && result.cover_latency[v] >= 0) {
         probe->record_decision_latency(
             static_cast<std::uint64_t>(result.cover_latency[v]));
       }
     }
-  }
-  if constexpr (T::kEnabled) {
-    if (probe != nullptr) probe->end_run();
-  }
+    observer.end_run();
 
-  auto& counters = obs::CounterRegistry::global();
-  counters.add("core.run_leader_election.runs", 1);
-  counters.add("core.run_leader_election.slots",
-               static_cast<std::uint64_t>(result.medium.slots_run));
+    auto& counters = obs::CounterRegistry::global();
+    counters.add("core.run_leader_election.runs", 1);
+    counters.add("core.run_leader_election.slots",
+                 static_cast<std::uint64_t>(result.medium.slots_run));
+  }
+  observer.finish_into(result);
   return result;
 }
-
-/// The sink stack every traced entry point shares: metrics + JSONL +
-/// binary log + online monitor + caller-owned memory capture, each
-/// optional, fanned out through nested TeeSinks.
-struct TraceSinks {
-  using Inner = obs::TeeSink<obs::MetricsSink, obs::JsonlSink>;
-  using Mid = obs::TeeSink<Inner, obs::BinSink>;
-  using Tee = obs::TeeSink<Mid, obs::InvariantMonitorSink>;
-  using Outer = obs::TeeSink<Tee, obs::MemorySink>;
-
-  obs::MetricsSink metrics;
-  std::optional<obs::JsonlSink> jsonl;
-  std::optional<obs::BinSink> bin;
-  std::optional<obs::InvariantMonitorSink> monitor;
-  std::optional<Inner> inner;
-  std::optional<Mid> mid;
-  std::optional<Tee> tee;
-  std::optional<Outer> outer;
-
-  /// Destructor-path flush: a traced runner that exits early (slot-budget
-  /// exhaustion mid-harvest, an exception from a protocol callback) must
-  /// not leave buffered tail events unwritten.  `finish_into` flushes the
-  /// same sinks first on the normal path, so this is an idempotent no-op
-  /// there.
-  ~TraceSinks() {
-    if (jsonl) jsonl->flush();
-    if (bin) bin->flush();
-  }
-
-  TraceSinks(const graph::Graph& g, const Params& params,
-             const radio::WakeSchedule& schedule, const TraceOptions& trace)
-      : metrics(trace.metrics_window) {
-    if (!trace.events_jsonl.empty()) {
-      jsonl.emplace(trace.events_jsonl);
-      URN_CHECK_MSG(jsonl->ok(),
-                    "traced run: cannot open " << trace.events_jsonl);
-    }
-    if (!trace.events_bin.empty()) {
-      bin.emplace(trace.events_bin, trace.bin_ring);
-      URN_CHECK_MSG(bin->ok(),
-                    "traced run: cannot open " << trace.events_bin);
-    }
-    if (trace.monitor) {
-      monitor.emplace(make_monitor_config(g, params, schedule));
-    }
-    inner.emplace(trace.metrics ? &metrics : nullptr,
-                  jsonl ? &*jsonl : nullptr);
-    mid.emplace(&*inner, bin ? &*bin : nullptr);
-    tee.emplace(&*mid, monitor ? &*monitor : nullptr);
-    outer.emplace(&*tee, trace.memory);
-  }
-
-  /// Harvest the artifacts into a result that carries the shared
-  /// `series` / `events_recorded` / `monitor` fields, and account the
-  /// tracing overhead under `trace.overhead.*` (deterministic event /
-  /// byte counts; final-flush wall clock lands under `.ns` keys, which
-  /// the bench regression diff ignores).
-  /// True when `trace` requests no event-consuming sink at all — the
-  /// telemetry-only case, which runs on the NullSink engine instantiation
-  /// (probe only, zero event overhead).
-  static bool event_free(const TraceOptions& trace) {
-    return !trace.metrics && trace.events_jsonl.empty() &&
-           trace.events_bin.empty() && !trace.monitor &&
-           trace.memory == nullptr;
-  }
-
-  template <typename Result>
-  void finish_into(Result& result, Slot slots_run,
-                   const TraceOptions& trace) {
-    if (trace.metrics) result.series = metrics.finish(slots_run);
-    auto& counters = obs::CounterRegistry::global();
-    if (jsonl || bin) {
-      obs::ProfileScope flush_scope("trace.overhead.flush");
-      if (jsonl) jsonl->flush();
-      if (bin) bin->flush();
-    }
-    if (jsonl) {
-      result.events_recorded = jsonl->written();
-      counters.add("trace.overhead.jsonl.events", jsonl->written());
-      counters.add("trace.overhead.jsonl.bytes", jsonl->bytes());
-    }
-    if (bin) {
-      result.events_recorded = bin->written();
-      counters.add("trace.overhead.bin.events", bin->written());
-      counters.add("trace.overhead.bin.bytes", bin->bytes());
-    }
-    if (monitor) result.monitor = monitor->report();
-  }
-};
-
-namespace pm = obs::postmortem;
 
 /// Render the bundle's `manifest.json`: run identity, scenario shape, and
 /// which files the bundle contains.
@@ -310,21 +337,18 @@ std::string manifest_json(const PostmortemOptions& po,
   return j;
 }
 
-/// The postmortem-enabled traced run: periodic checkpoints into the
-/// bundle directory, a flight-recorder ring there by default, a crash
+/// Bundle setup and teardown around `run_impl`: periodic checkpoints into
+/// the bundle directory, a flight-recorder ring there by default, a crash
 /// handler armed for the duration of the run, a manifest always, and the
 /// full bundle (monitor + telemetry snapshots) on invariant violation.
+/// `max_slots` is resolved: the checkpoint scenario must record the
+/// actual cap so a resumed run stops at the same slot.
 RunResult run_coloring_postmortem(const graph::Graph& g, const Params& params,
                                   const radio::WakeSchedule& schedule,
                                   std::uint64_t seed,
                                   const TraceOptions& trace, Slot max_slots,
                                   radio::MediumOptions medium) {
   const PostmortemOptions& po = trace.postmortem;
-  params.validate();
-  URN_CHECK(schedule.size() == g.num_nodes());
-  // Resolve the budget here: the checkpoint scenario must record the
-  // actual cap so a resumed run stops at the same slot.
-  if (max_slots == 0) max_slots = default_slot_budget(params, schedule);
   URN_CHECK_MSG(pm::ensure_dir(po.dir),
                 "postmortem: cannot create bundle dir " << po.dir);
 
@@ -342,28 +366,16 @@ RunResult run_coloring_postmortem(const graph::Graph& g, const Params& params,
                         pm::EngineKind::kAligned, po.checkpoint_every,
                         render_scenario(scenario));
 
-  TraceSinks sinks(g, params, schedule, local);
+  // The binary log makes every postmortem run an events-on run.
+  RunObserver<true> observer(g, params, schedule, local, &ckpt);
   pm::arm_crash_handler(po.dir);
-  if (sinks.bin) {
-    pm::set_crash_flush(
-        [](void* arg) { static_cast<obs::BinSink*>(arg)->flush(); },
-        &*sinks.bin);
-  }
-
-  RunResult result;
-  if (local.telemetry != nullptr) {
-    obs::telemetry::EngineProbe probe(*local.telemetry);
-    result = run_impl(g, params, schedule, seed, max_slots, medium,
-                      &*sinks.outer, local.spans, &probe, &ckpt);
-  } else {
-    result = run_impl<typename TraceSinks::Outer,
-                      obs::telemetry::NullEngineProbe, pm::Checkpointer>(
-        g, params, schedule, seed, max_slots, medium, &*sinks.outer,
-        local.spans, nullptr, &ckpt);
-  }
+  pm::set_crash_flush(
+      [](void* arg) { static_cast<RunObserver<true>*>(arg)->flush(); },
+      &observer);
+  RunResult result =
+      run_impl(g, params, schedule, seed, max_slots, medium, observer);
   pm::set_crash_flush(nullptr, nullptr);
   pm::disarm_crash_handler();
-  sinks.finish_into(result, result.medium.slots_run, local);
   URN_CHECK_MSG(!ckpt.failed(),
                 "postmortem: checkpoint write failed under " << po.dir);
 
@@ -411,39 +423,22 @@ RunResult run_coloring(const graph::Graph& g, const Params& params,
                        const radio::WakeSchedule& schedule,
                        std::uint64_t seed, Slot max_slots,
                        radio::MediumOptions medium) {
-  return run_impl<obs::NullSink>(g, params, schedule, seed, max_slots,
-                                 medium, nullptr);
+  return run_coloring_traced(g, params, schedule, seed, TraceOptions{},
+                             max_slots, medium);
 }
 
 RunResult run_coloring_traced(const graph::Graph& g, const Params& params,
                               const radio::WakeSchedule& schedule,
                               std::uint64_t seed, const TraceOptions& trace,
                               Slot max_slots, radio::MediumOptions medium) {
+  max_slots = prepare_run(g, params, schedule, max_slots);
   if (trace.postmortem.enabled()) {
     return run_coloring_postmortem(g, params, schedule, seed, trace,
                                    max_slots, medium);
   }
-  if (trace.telemetry != nullptr) {
-    obs::telemetry::EngineProbe probe(*trace.telemetry);
-    if (TraceSinks::event_free(trace)) {
-      // Telemetry-only: probe on the NullSink instantiation — no event
-      // construction, no sink fan-out, untraced throughput.
-      return run_impl<obs::NullSink, obs::telemetry::EngineProbe>(
-          g, params, schedule, seed, max_slots, medium, nullptr,
-          trace.spans, &probe);
-    }
-    TraceSinks sinks(g, params, schedule, trace);
-    RunResult result =
-        run_impl(g, params, schedule, seed, max_slots, medium, &*sinks.outer,
-                 trace.spans, &probe);
-    sinks.finish_into(result, result.medium.slots_run, trace);
-    return result;
-  }
-  TraceSinks sinks(g, params, schedule, trace);
-  RunResult result = run_impl(g, params, schedule, seed, max_slots, medium,
-                              &*sinks.outer, trace.spans);
-  sinks.finish_into(result, result.medium.slots_run, trace);
-  return result;
+  return with_observer(g, params, schedule, trace, [&](auto& observer) {
+    return run_impl(g, params, schedule, seed, max_slots, medium, observer);
+  });
 }
 
 LeaderElectionResult run_leader_election(const graph::Graph& g,
@@ -451,35 +446,19 @@ LeaderElectionResult run_leader_election(const graph::Graph& g,
                                          const radio::WakeSchedule& schedule,
                                          std::uint64_t seed, Slot max_slots,
                                          radio::MediumOptions medium) {
-  return leader_election_impl<obs::NullSink>(g, params, schedule, seed,
-                                             max_slots, medium, nullptr);
+  return run_leader_election_traced(g, params, schedule, seed,
+                                    TraceOptions{}, max_slots, medium);
 }
 
 LeaderElectionResult run_leader_election_traced(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
     const TraceOptions& trace, Slot max_slots, radio::MediumOptions medium) {
-  if (trace.telemetry != nullptr) {
-    obs::telemetry::EngineProbe probe(*trace.telemetry);
-    if (TraceSinks::event_free(trace)) {
-      return leader_election_impl<obs::NullSink,
-                                  obs::telemetry::EngineProbe>(
-          g, params, schedule, seed, max_slots, medium, nullptr,
-          trace.spans, &probe);
-    }
-    TraceSinks sinks(g, params, schedule, trace);
-    LeaderElectionResult result =
-        leader_election_impl(g, params, schedule, seed, max_slots, medium,
-                             &*sinks.outer, trace.spans, &probe);
-    sinks.finish_into(result, result.medium.slots_run, trace);
-    return result;
-  }
-  TraceSinks sinks(g, params, schedule, trace);
-  LeaderElectionResult result = leader_election_impl(
-      g, params, schedule, seed, max_slots, medium, &*sinks.outer,
-      trace.spans);
-  sinks.finish_into(result, result.medium.slots_run, trace);
-  return result;
+  max_slots = prepare_run(g, params, schedule, max_slots);
+  return with_observer(g, params, schedule, trace, [&](auto& observer) {
+    return leader_election_impl(g, params, schedule, seed, max_slots, medium,
+                                observer);
+  });
 }
 
 LocalityReport check_locality(const graph::Graph& g,

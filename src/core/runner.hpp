@@ -101,8 +101,11 @@ struct PostmortemOptions {
 };
 
 /// Observability knobs for `run_coloring_traced`.  Everything defaults to
-/// off; the plain `run_coloring` path stays on the zero-overhead
-/// `obs::NullSink` engine instantiation.
+/// off, which is what `run_coloring` runs with.  The consumers of the
+/// event stream (metrics, the event logs, the monitor, memory capture)
+/// switch the engine to its events-on instantiation; telemetry, spans and
+/// checkpoints alone keep the batched protocol sweep.  No knob changes
+/// the run's results.
 struct TraceOptions {
   /// Collect a per-window obs::TimeSeries into RunResult::series.
   bool metrics = false;
@@ -124,16 +127,15 @@ struct TraceOptions {
   bool monitor = false;
   /// Optional wall-clock span timeline: the engine records per-slot
   /// phase residencies (wake-up processing / protocol step / medium
-  /// resolution) into it.  Not owned; must outlive the run.
+  /// resolution) into it.  Spans alone do NOT turn on event emission.
+  /// Not owned; must outlive the run.
   obs::SpanSink* spans = nullptr;
   /// Optional live telemetry: run the engine with an
   /// `obs::telemetry::EngineProbe` feeding this registry (slot/medium
   /// counters, the live `engine.undecided` gauge, and the
   /// `run.decision_latency` histogram).  Telemetry alone does NOT turn
-  /// on event emission: with every other knob off the run executes on
-  /// the NullSink engine instantiation plus the probe, so a monitored
-  /// sweep keeps its untraced throughput.  Not owned; must outlive the
-  /// run.
+  /// on event emission, so a probed sweep keeps its untraced
+  /// throughput.  Not owned; must outlive the run.
   obs::telemetry::Registry* telemetry = nullptr;
   /// Optional in-memory event capture: every event is also recorded
   /// into this sink (unbounded; intended for in-process analysis such
@@ -155,7 +157,8 @@ struct TraceOptions {
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule);
 
-/// Execute the protocol.
+/// Execute the protocol: `run_coloring_traced` with default
+/// `TraceOptions`.
 ///
 /// \param g          the network graph
 /// \param params     protocol parameters (validated)
@@ -170,14 +173,19 @@ struct TraceOptions {
                                      radio::MediumOptions medium = {});
 
 /// `run_coloring` with observability: identical protocol execution (same
-/// seeds, same RNG streams, bit-identical coloring), but run on an engine
-/// instantiation that emits structured events into the sinks requested by
-/// `trace` — a per-window metrics series and/or a JSONL event log.
+/// seeds, same RNG streams, bit-identical coloring), observed by the
+/// consumers `trace` requests — metrics series, event logs, monitor,
+/// memory capture, telemetry, spans and postmortem checkpoints.
 [[nodiscard]] RunResult run_coloring_traced(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
     const TraceOptions& trace, Slot max_slots = 0,
     radio::MediumOptions medium = {});
+
+/// One `ColoringNode` per vertex 0..n-1, all reading `params` (which must
+/// outlive them).
+[[nodiscard]] std::vector<ColoringNode> make_nodes(const Params& params,
+                                                   std::size_t n);
 
 /// A conservative default slot budget: enough for the theory bound
 /// O(κ₂⁴ Δ log n) after the last wake-up, with headroom.
@@ -227,17 +235,18 @@ struct LeaderElectionResult {
 
 /// Run the protocol only until every node is a leader or knows one
 /// (i.e. left A₀), then stop.  The leader set is, with high probability,
-/// a maximal independent set of g.  Runs on the same sink-templated
-/// engine path as `run_coloring`, so failure injection (`medium`) and —
-/// via the traced variant — sinks apply to leader-election runs too.
+/// a maximal independent set of g.  Runs on the same engine and observer
+/// as `run_coloring`, so failure injection (`medium`) and — via the
+/// traced variant — every `TraceOptions` consumer but the postmortem
+/// bundle apply to leader-election runs too.
 [[nodiscard]] LeaderElectionResult run_leader_election(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
     Slot max_slots = 0, radio::MediumOptions medium = {});
 
 /// `run_leader_election` with observability: identical execution (same
-/// seeds and RNG streams), plus the metrics / JSONL / monitor sinks
-/// requested by `trace`.
+/// seeds and RNG streams), observed as `trace` requests (`postmortem` is
+/// ignored).  `run_leader_election` is this with default `TraceOptions`.
 [[nodiscard]] LeaderElectionResult run_leader_election_traced(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,

@@ -17,9 +17,10 @@
 ///  * **latency** — Theorem 3: T_v = decision − wake stays within the
 ///    configured O(κ₂⁴ Δ log n) slot budget.
 ///
-/// The sink is composable through `TeeSink`, so a run can stream metrics,
-/// a JSONL log, and the monitor simultaneously; it never touches RNG
-/// streams, so monitored runs stay bit-identical to unmonitored ones.
+/// The monitor is one of the event consumers the runner's observer feeds
+/// alongside metrics and the logs, so a run can stream all of them at
+/// once; it never touches RNG streams, so monitored runs stay
+/// bit-identical to unmonitored ones.
 /// Graph-dependent checks (conflict / leader independence / locality)
 /// activate only when the `MonitorConfig` carries adjacency / θ data;
 /// with an empty config the monitor still checks phase legality, which is

@@ -30,9 +30,9 @@
 /// The obs layer deliberately knows nothing about graphs or protocols:
 /// `Checkpointer` takes the scenario section as an opaque pre-rendered
 /// byte string and the engine state through the engine's own
-/// `save_state(Writer&)`.  Engines gain a checkpointer template parameter
-/// with a `NullCheckpointer` default, the same zero-overhead `if
-/// constexpr` seam as the event sinks and telemetry probes.
+/// `save_state(Writer&)`.  It reaches the engine as a checkpoint-offer
+/// capability of the engine's observer (obs/observer.hpp), compiled away
+/// for observers without it.
 
 #pragma once
 
@@ -189,19 +189,11 @@ struct CheckpointFile {
 [[nodiscard]] CheckpointFile read_checkpoint_file(const std::string& path);
 
 // ---------------------------------------------------------------------------
-// Engine hooks.
+// Engine hook.
 
-/// Default checkpointer: disables the hook at compile time.  The engine's
-/// run loop tests `C::kEnabled` under `if constexpr`, so instantiations
-/// with this type carry zero overhead — the same seam as `NullSink` and
-/// `NullEngineProbe`.
-struct NullCheckpointer {
-  static constexpr bool kEnabled = false;
-};
-
-/// Periodic checkpoint writer.  Attach to an engine via
-/// `set_checkpointer`; the engine calls `maybe_checkpoint(*this, pos)` at
-/// the top of each run-loop iteration, and the checkpointer serializes a
+/// Periodic checkpoint writer, a checkpoints-only engine observer: the
+/// engine calls `maybe_checkpoint(*this, pos)` at the top of each run-loop
+/// iteration, and the checkpointer serializes a
 /// full snapshot every `every` position units (slots for the aligned
 /// engine, half-slots for the misaligned one).  `every <= 0` means a
 /// single snapshot at the first opportunity (the run start), so
@@ -213,7 +205,7 @@ struct NullCheckpointer {
 /// bit-identical to an unhooked one.
 class Checkpointer {
  public:
-  static constexpr bool kEnabled = true;
+  static constexpr bool kCheckpoints = true;
 
   /// \param path destination file (conventionally `<dir>/checkpoint.urnc`)
   /// \param kind engine flavor recorded in the header

@@ -1,18 +1,19 @@
 /// \file sink.hpp
 /// \brief Event sinks: where the engines send their trace events.
 ///
-/// The radio engines are templates over a sink type so that the default,
-/// `NullSink`, compiles to *nothing* — every emission site is guarded by
-/// `if constexpr (S::kEnabled)`, so the hot loop of `Engine<P, NullSink>`
-/// is bit- and instruction-identical to an engine with no tracing at all
-/// (benchmarked in m1_micro).  Buffering sinks:
+/// Every sink is an events-only engine observer (obs/observer.hpp): its
+/// `kEnabled` switches the engine's emission sites on, and `NullSink`,
+/// with `kEnabled == false`, compiles them all away.  Buffering sinks:
 ///
 ///  * `MemorySink`  — unbounded in-memory vector (tests, the analyzer);
 ///  * `RingSink`    — fixed-capacity ring keeping the *last* N events
 ///                    ("flight recorder" for post-mortem of long runs);
 ///  * `JsonlSink`   — buffered JSONL file writer (the interchange format
-///                    `urn_trace` consumes);
-///  * `TeeSink`     — fan-out to two optional sinks (e.g. metrics + file).
+///                    `urn_trace` consumes).
+///
+/// A run that feeds several consumers at once (metrics, logs, the
+/// monitor) goes through the runner's one observer, which dispatches
+/// each event to every consumer it owns (core/runner.cpp).
 
 #pragma once
 
@@ -132,33 +133,9 @@ class JsonlSink {
   std::uint64_t bytes_ = 0;    ///< file bytes emitted so far
 };
 
-/// Fan-out to two sinks; either pointer may be null.  Useful to collect
-/// per-slot metrics and a JSONL log from the same run.
-template <EventSink A, EventSink B>
-class TeeSink {
- public:
-  static constexpr bool kEnabled = A::kEnabled || B::kEnabled;
-
-  TeeSink(A* a, B* b) : a_(a), b_(b) {}
-
-  void record(const Event& e) {
-    if (a_ != nullptr) a_->record(e);
-    if (b_ != nullptr) b_->record(e);
-  }
-  void flush() {
-    if (a_ != nullptr) a_->flush();
-    if (b_ != nullptr) b_->flush();
-  }
-
- private:
-  A* a_;
-  B* b_;
-};
-
 static_assert(EventSink<NullSink>);
 static_assert(EventSink<MemorySink>);
 static_assert(EventSink<RingSink>);
 static_assert(EventSink<JsonlSink>);
-static_assert(EventSink<TeeSink<MemorySink, JsonlSink>>);
 
 }  // namespace urn::obs

@@ -5,9 +5,9 @@
 /// `SpanSink` answers "when exactly, and on which track" — the data a
 /// timeline viewer needs.  Two producers feed it:
 ///
-///  * the radio engine's traced instantiations record one span per
-///    runner phase per slot (wake-up processing, protocol step, medium
-///    resolution) on the runner track;
+///  * the radio engine, when its observer takes spans, records one span
+///    per runner phase per slot (wake-up processing, protocol step,
+///    medium resolution) on the runner track;
 ///  * `exec::parallel_for_trials` records one span per claimed chunk on
 ///    its worker's track, so a parallel sweep renders as a per-worker
 ///    timeline (idle gaps = load imbalance, visible at a glance).
@@ -40,9 +40,12 @@ struct SpanRecord {
   std::int64_t arg = -1;        ///< optional payload (slot, chunk, …)
 };
 
-/// Thread-safe collector of completed spans.
+/// Thread-safe collector of completed spans; also a spans-only engine
+/// observer (obs/observer.hpp).
 class SpanSink {
  public:
+  static constexpr bool kSpans = true;
+
   SpanSink() : epoch_(std::chrono::steady_clock::now()) {}
   SpanSink(const SpanSink&) = delete;
   SpanSink& operator=(const SpanSink&) = delete;

@@ -33,14 +33,13 @@
 ///
 /// ## Zero overhead when disabled
 ///
-/// Hot layers are instrumented through probe types templated into the
-/// engines exactly like `obs::NullSink`: the default `NullEngineProbe` has
-/// `kEnabled == false` and every instrumentation site sits behind
-/// `if constexpr`, so the untraced hot loop is byte-for-byte the
-/// uninstrumented loop (`BM_Telemetry*` in m1_micro pins this).  Enabled
-/// probes aggregate **per slot**, not per node: one `on_slot` call issues
-/// a handful of relaxed sharded adds, keeping the enabled path in the
-/// low-nanoseconds-per-increment range.
+/// The engine reaches telemetry through its observer's slot-sample
+/// capability (obs/observer.hpp): an observer without it — the default
+/// `NullObserver` — compiles every sampling site away, so the untraced
+/// hot loop is the uninstrumented loop.  `EngineProbe` is a
+/// samples-only observer, and it aggregates **per slot**, not per node:
+/// one `on_slot` call issues a handful of relaxed sharded adds, keeping
+/// the enabled path in the low-nanoseconds-per-increment range.
 ///
 /// Metric naming: dotted lowercase paths (`engine.slots`,
 /// `run.decision_latency`), wall-clock totals suffixed `.ns`.  Exported
@@ -349,14 +348,7 @@ class Snapshotter {
 };
 
 // ---------------------------------------------------------------------------
-// Probes — the compile-time instrumentation seams
-
-/// Disabled engine probe: `if constexpr (T::kEnabled)` compiles every
-/// instrumentation site away, exactly like `obs::NullSink` does for
-/// event emission.
-struct NullEngineProbe {
-  static constexpr bool kEnabled = false;
-};
+// Probes
 
 /// Per-slot aggregate sample (all fields are this-slot deltas except
 /// `undecided`, the current live awake-but-undecided population).
@@ -372,9 +364,10 @@ struct SlotSample {
   std::uint64_t undecided = 0;  ///< current population (not a delta)
 };
 
-/// Enabled engine instrumentation: resolves its metrics once at
-/// construction (one per run — construction cost is a few map lookups),
-/// then every `on_slot` is a handful of relaxed sharded adds.
+/// Engine instrumentation, a samples-only engine observer: resolves its
+/// metrics once at construction (one per run — construction cost is a few
+/// map lookups), then every `on_slot` is a handful of relaxed sharded
+/// adds.
 ///
 /// Registry metric map:
 ///   counters `engine.slots`, `engine.node_slots`, `engine.wakes`,
@@ -386,7 +379,7 @@ struct SlotSample {
 ///   histogram `run.decision_latency` (slots from wake to decision)
 class EngineProbe {
  public:
-  static constexpr bool kEnabled = true;
+  static constexpr bool kSamples = true;
 
   explicit EngineProbe(Registry& reg)
       : slots_(&reg.counter("engine.slots")),

@@ -29,13 +29,13 @@
 /// at the same tick has run, so state changes made there take effect in
 /// the receiver's next slot, matching the paper's slot granularity.
 ///
-/// **Observability.**  The engine takes a second template parameter, an
-/// `obs::EventSink`, defaulting to `obs::NullSink`.  With the default every
-/// emission site is discarded at compile time (`if constexpr`), so the hot
-/// loop is exactly the pre-tracing loop — m1_micro pins this.  With a real
-/// sink the engine emits wake / transmit / delivery / collision / drop /
-/// decision events, and hands protocols a hook in `SlotContext` through
-/// which they emit their own (phase transitions, counter resets, serves).
+/// **Observability.**  The engine's second template parameter is its
+/// observer (obs/observer.hpp), defaulting to `obs::NullObserver`.  With
+/// the default every hook is discarded at compile time (`if constexpr`),
+/// so the hot loop is the uninstrumented loop.  An observer with events
+/// receives wake / transmit / delivery / collision / drop / decision
+/// events, and protocols get a hook in `SlotContext` through which they
+/// emit their own (phase transitions, counter resets, serves).
 
 #pragma once
 
@@ -48,9 +48,8 @@
 
 #include "graph/graph.hpp"
 #include "obs/event.hpp"
+#include "obs/observer.hpp"
 #include "obs/postmortem.hpp"
-#include "obs/sink.hpp"
-#include "obs/span.hpp"
 #include "obs/telemetry.hpp"
 #include "radio/message.hpp"
 #include "radio/wakeup.hpp"
@@ -75,14 +74,15 @@ struct SlotContext {
   Slot now = 0;        ///< global slot index
   Rng* rng = nullptr;  ///< per-node deterministic stream
 
-  /// Optional event hook (set by a tracing engine; null when tracing is
-  /// off).  Protocols emit their protocol-level events through this.
+  /// Optional event hook (set when the engine's observer takes events;
+  /// null otherwise).  Protocols emit their protocol-level events through
+  /// this.
   void* events_sink = nullptr;
   void (*events_fn)(void*, const obs::Event&) = nullptr;
 
   [[nodiscard]] Rng& random() const { return *rng; }
 
-  /// True when a sink is attached (protocols may skip event construction).
+  /// True when events are observed (protocols may skip event construction).
   [[nodiscard]] bool tracing() const { return events_fn != nullptr; }
   void emit(const obs::Event& e) const {
     if (events_fn != nullptr) events_fn(events_sink, e);
@@ -112,10 +112,11 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 //     bool Hot::decided(NodeId) const;        // node-object-free test
 //
 // The engine then (a) owns one block per run and attaches every node to
-// it in its constructor, and (b) on *untraced* instantiations replaces the
-// per-node `on_slot` loop with one `batch_slots` call — which must be
-// bit-identical to the scalar loop (the protocol owns that proof; the
-// traced-vs-untraced and reference-diff suites are the arbiters).
+// it in its constructor, and (b) on instantiations whose observer takes no
+// events replaces the per-node `on_slot` loop with one `batch_slots` call —
+// which must be bit-identical to the scalar loop (the protocol owns that
+// proof; the traced-vs-untraced and reference-diff suites are the
+// arbiters).
 // Protocols without a `Hot` alias get `NoHotState` and the scalar loop.
 
 /// Placeholder hot block for protocols without SoA state (zero size, the
@@ -351,13 +352,10 @@ class AlignedMedium {
 
 /// The radio engine; owns the per-node protocol instances.  Holds the
 /// graph **by reference** (hot-loop performance): the graph must outlive
-/// the engine.  `S` is the event sink; the default `obs::NullSink`
-/// compiles all tracing away.  `T` is the telemetry probe
-/// (`obs::telemetry::EngineProbe`); the default `NullEngineProbe` compiles
-/// the per-tick aggregate sampling away the same way.  `C` is the
-/// checkpointer (`obs::postmortem::Checkpointer`); the default
-/// `NullCheckpointer` compiles the run-loop checkpoint hook away.  `M` is
-/// the medium policy: `AlignedMedium` here, `HalfSlotMedium` in
+/// the engine.  `O` is the observer (obs/observer.hpp): events, per-tick
+/// slot samples, checkpoint offers and phase spans, each compiled in only
+/// when `O` declares it; the default `obs::NullObserver` declares none.
+/// `M` is the medium policy: `AlignedMedium` here, `HalfSlotMedium` in
 /// radio/misaligned_engine.hpp (alias `MisalignedEngine`).
 ///
 /// Node v's local slot t starts at tick `kTicksPerSlot·t + phase(v)`.
@@ -365,9 +363,7 @@ class AlignedMedium {
 /// (2) runs the slot of every node whose slot starts now, collecting
 /// transmissions, (3) lets the medium resolve them, and (4) records the
 /// nodes that decided, in their own local slot.
-template <NodeProtocol P, obs::EventSink S = obs::NullSink,
-          typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer,
+template <NodeProtocol P, typename O = obs::NullObserver,
           typename M = AlignedMedium>
 class Engine {
  public:
@@ -375,24 +371,25 @@ class Engine {
 
   /// Aligned medium.
   /// \pre nodes.size() == g.num_nodes() == schedule.size()
-  /// \param sink event sink; may be null even for enabled sink types (no
-  ///        events are emitted then).  The sink must outlive the engine.
+  /// \param observer may be null (no hook fires then); must outlive the
+  ///        engine.
   Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
-         std::uint64_t seed, MediumOptions medium = {}, S* sink = nullptr)
+         std::uint64_t seed, MediumOptions medium = {},
+         O* observer = nullptr)
     requires std::same_as<M, AlignedMedium>
       : Engine(M(g.num_nodes(), seed, medium), g, std::move(schedule),
-               std::move(nodes), seed, sink) {}
+               std::move(nodes), seed, observer) {}
 
   /// Media built from per-node phase offsets (the half-slot medium):
   /// `offsets[v]` is node v's phase in ticks.  Slots in events are the
   /// node's local slots.
   Engine(const graph::Graph& g, WakeSchedule schedule, std::vector<P> nodes,
          std::vector<std::uint8_t> offsets, std::uint64_t seed,
-         S* sink = nullptr)
+         O* observer = nullptr)
     requires std::constructible_from<M, std::size_t,
                                      std::vector<std::uint8_t>>
       : Engine(M(g.num_nodes(), std::move(offsets)), g, std::move(schedule),
-               std::move(nodes), seed, sink) {}
+               std::move(nodes), seed, observer) {}
 
   // Nodes point into the engine-owned hot block; a copied or moved
   // engine would leave them aimed at the source's block.
@@ -409,31 +406,16 @@ class Engine {
     return M::random_offsets(n, rng);
   }
 
-  /// Attach a wall-clock span sink: each tick then records one span per
-  /// phase (wake / protocol / medium) on `kSpanTrack`.  Only meaningful
-  /// on sink-enabled instantiations — with `obs::NullSink` the span hooks
-  /// compile away along with the event emission sites, so the untraced
-  /// hot loop stays untouched.
-  void set_span_sink(obs::SpanSink* spans) { spans_ = spans; }
-
-  /// Attach a telemetry probe: each tick then feeds one aggregate
-  /// `SlotSample` (counts only — no events, no RNG use; `slots` counts
-  /// local slots completed) to the probe.  Only meaningful on
-  /// probe-enabled instantiations; with the default `NullEngineProbe`
-  /// the sampling sites compile away.  The probe must outlive the
-  /// engine.  `run()` brackets execution with `begin_run`/`end_run`;
-  /// step()-driven users bracket it themselves.
-  void set_telemetry(T* probe) { probe_ = probe; }
-
-  /// Attach a postmortem checkpointer: `run()` then offers a snapshot at
-  /// the top of every loop iteration, at the current tick (the
-  /// checkpointer decides whether the period elapsed; a period in local
-  /// slots is `kTicksPerSlot` times as many ticks).  Only meaningful on
-  /// checkpointer-enabled instantiations; with the default
-  /// `NullCheckpointer` the hook compiles away.  Snapshots only read
-  /// state, so a checkpointed run is bit-identical to an unhooked one.
-  /// The checkpointer must outlive the engine.
-  void set_checkpointer(C* ckpt) { ckpt_ = ckpt; }
+  /// The observer's capabilities.  Slot samples carry counts only
+  /// (`slots` counts local slots completed) and are bracketed by
+  /// `begin_run`/`end_run` in `run()`; step()-driven users bracket them
+  /// themselves.  Checkpoint offers come at the top of every `run()`
+  /// iteration, at the current tick (a period in local slots is
+  /// `kTicksPerSlot` times as many ticks).
+  static constexpr bool kEvents = obs::kObservesEvents<O>;
+  static constexpr bool kSamples = obs::kObservesSamples<O>;
+  static constexpr bool kCheckpoints = obs::kObservesCheckpoints<O>;
+  static constexpr bool kSpans = obs::kObservesSpans<O>;
 
   /// The track id engine phase spans are recorded under.
   static constexpr std::uint32_t kSpanTrack = 0;
@@ -444,13 +426,13 @@ class Engine {
     const Tick h = tick_;
     const std::uint64_t ts_wake = span_now();
 
-    // Telemetry baselines for this tick's deltas (dead locals on
-    // probe-disabled instantiations; the optimizer drops them).
+    // Slot-sample baselines for this tick's deltas (dead locals without
+    // samples; the optimizer drops them).
     [[maybe_unused]] std::size_t probe_wakes_before = 0;
     [[maybe_unused]] std::size_t probe_pending_before = 0;
     [[maybe_unused]] RunStats probe_before;
-    if constexpr (T::kEnabled) {
-      if (probe_ != nullptr) {
+    if constexpr (kSamples) {
+      if (observer_ != nullptr) {
         probe_wakes_before = next_wake_;
         probe_pending_before = pending_live_;
         probe_before = stats_;
@@ -489,16 +471,16 @@ class Engine {
 
     // (2) Run the slot of every node whose slot starts now; they all
     // share local slot h / kTicksPerSlot.  The participant lists hold
-    // only live awake nodes.  SoA protocols on untraced engines run the
-    // whole list through one `batch_slots` call (classify over the hot
-    // arrays, batched Bernoulli draws, messages in scalar order —
-    // bit-identical by the protocol's contract); traced engines keep the
-    // scalar loop, whose per-node contexts carry the event hook.
+    // only live awake nodes.  SoA protocols run the whole list through
+    // one `batch_slots` call (classify over the hot arrays, batched
+    // Bernoulli draws, messages in scalar order — bit-identical by the
+    // protocol's contract) unless events are observed: then the scalar
+    // loop runs, whose per-node contexts carry the event hook.
     const std::uint64_t ts_protocol = span_now();
     const std::vector<NodeId>& participants = medium_.participants(h);
     const Slot now = h / kTicksPerSlot;
     transmitters_.clear();
-    if constexpr (kHasHotState<P> && !S::kEnabled) {
+    if constexpr (kHasHotState<P> && !kEvents) {
       P::batch_slots(hot_, participants.data(), participants.size(), now,
                      nodes_.data(), rngs_.data(), transmitters_);
     } else {
@@ -554,8 +536,8 @@ class Engine {
     ++tick_;
     stats_.slots_run = tick_ / kTicksPerSlot;
 
-    if constexpr (T::kEnabled) {
-      if (probe_ != nullptr) {
+    if constexpr (kSamples) {
+      if (observer_ != nullptr) {
         obs::telemetry::SlotSample s;
         s.slots = static_cast<std::uint64_t>(stats_.slots_run -
                                              probe_before.slots_run);
@@ -567,7 +549,7 @@ class Engine {
         s.collisions = stats_.collisions - probe_before.collisions;
         s.drops = stats_.dropped - probe_before.dropped;
         s.undecided = undecided_list_.size();
-        probe_->on_slot(s);
+        observer_->on_slot(s);
       }
     }
   }
@@ -591,13 +573,13 @@ class Engine {
   /// more step via `all_decided`.
   RunStats run(Slot max_slots) {
     URN_CHECK(max_slots > 0);
-    if constexpr (T::kEnabled) {
-      if (probe_ != nullptr) probe_->begin_run();
+    if constexpr (kSamples) {
+      if (observer_ != nullptr) observer_->begin_run();
     }
     const Tick end = M::end_tick(max_slots);
     while (tick_ < end) {
-      if constexpr (C::kEnabled) {
-        if (ckpt_ != nullptr) ckpt_->maybe_checkpoint(*this, tick_);
+      if constexpr (kCheckpoints) {
+        if (observer_ != nullptr) observer_->maybe_checkpoint(*this, tick_);
       }
       if (medium_.idle() && next_wake_ < wake_order_.size()) {
         const Tick next = wake_tick(wake_order_[next_wake_]);
@@ -605,14 +587,14 @@ class Engine {
           [[maybe_unused]] const Slot slots_before = stats_.slots_run;
           tick_ = std::min(next, end);
           stats_.slots_run = tick_ / kTicksPerSlot;
-          if constexpr (T::kEnabled) {
+          if constexpr (kSamples) {
             // Fast-forwarded slots still count toward engine.slots so
             // the exported total matches stats_.slots_run exactly.
-            if (probe_ != nullptr && stats_.slots_run > slots_before) {
+            if (observer_ != nullptr && stats_.slots_run > slots_before) {
               obs::telemetry::SlotSample s;
               s.slots =
                   static_cast<std::uint64_t>(stats_.slots_run - slots_before);
-              probe_->on_slot(s);
+              observer_->on_slot(s);
             }
           }
           if (tick_ >= end) break;
@@ -623,8 +605,8 @@ class Engine {
     }
     stats_.all_decided = all_decided();
     flush();
-    if constexpr (T::kEnabled) {
-      if (probe_ != nullptr) probe_->end_run();
+    if constexpr (kSamples) {
+      if (observer_ != nullptr) observer_->end_run();
     }
     return stats_;
   }
@@ -634,12 +616,12 @@ class Engine {
     return next_wake_ >= wake_order_.size() && pending_live_ == 0;
   }
 
-  /// Flush the attached event sink, if any (`run()` does this on exit;
-  /// step()-driven users call it once capture is complete).  Compiled
-  /// away for NullSink.
+  /// Flush the observer's events (`run()` does this on exit; step()-
+  /// driven users call it once capture is complete).  Compiled away
+  /// without events.
   void flush() {
-    if constexpr (S::kEnabled) {
-      if (sink_ != nullptr) sink_->flush();
+    if constexpr (kEvents) {
+      if (observer_ != nullptr) observer_->flush();
     }
   }
 
@@ -745,13 +727,13 @@ class Engine {
   friend M;
 
   Engine(M medium, const graph::Graph& g, WakeSchedule schedule,
-         std::vector<P> nodes, std::uint64_t seed, S* sink)
+         std::vector<P> nodes, std::uint64_t seed, O* observer)
       : graph_(g),
         schedule_(std::move(schedule)),
         nodes_(std::move(nodes)),
         hot_(g.num_nodes()),
         medium_(std::move(medium)),
-        sink_(sink),
+        observer_(observer),
         status_(g.num_nodes(), 0),
         decision_slot_(g.num_nodes(), kUndecided),
         pending_live_(g.num_nodes()) {
@@ -850,30 +832,30 @@ class Engine {
     }
   }
 
-  /// Emit an event built by `make` — compiled away entirely for NullSink
-  /// (the lambda is never instantiated, so event construction costs
-  /// nothing when tracing is off).
+  /// Emit an event built by `make` — compiled away entirely without
+  /// events (the lambda is never instantiated, so event construction
+  /// costs nothing then).
   template <typename MakeEvent>
   void emit(MakeEvent&& make) {
-    if constexpr (S::kEnabled) {
-      if (sink_ != nullptr) sink_->record(make());
+    if constexpr (kEvents) {
+      if (observer_ != nullptr) observer_->record(make());
     }
   }
 
-  /// Span-sink timestamp; a compile-time 0 when tracing is off, so the
+  /// Span timestamp; a compile-time 0 without spans, so the
   /// phase-boundary reads in `step` fold away with `span_emit`.
   [[nodiscard]] std::uint64_t span_now() const {
-    if constexpr (S::kEnabled) {
-      if (spans_ != nullptr) return spans_->now_ns();
+    if constexpr (kSpans) {
+      if (observer_ != nullptr) return observer_->now_ns();
     }
     return 0;
   }
 
   void span_emit(const char* name, std::uint64_t begin, std::uint64_t end,
                  Slot slot) {
-    if constexpr (S::kEnabled) {
-      if (spans_ != nullptr) {
-        spans_->record(name, kSpanTrack, begin, end - begin, slot);
+    if constexpr (kSpans) {
+      if (observer_ != nullptr) {
+        observer_->record(name, kSpanTrack, begin, end - begin, slot);
       }
     }
   }
@@ -883,11 +865,11 @@ class Engine {
     ctx.id = v;
     ctx.now = now;
     ctx.rng = &rngs_[v];
-    if constexpr (S::kEnabled) {
-      if (sink_ != nullptr) {
-        ctx.events_sink = sink_;
-        ctx.events_fn = [](void* sink, const obs::Event& e) {
-          static_cast<S*>(sink)->record(e);
+    if constexpr (kEvents) {
+      if (observer_ != nullptr) {
+        ctx.events_sink = observer_;
+        ctx.events_fn = [](void* observer, const obs::Event& e) {
+          static_cast<O*>(observer)->record(e);
         };
       }
     }
@@ -902,10 +884,7 @@ class Engine {
   /// nor movable (see the deleted special members above).
   HotStateOf<P> hot_;
   M medium_;
-  S* sink_;
-  obs::SpanSink* spans_ = nullptr;  ///< wall-clock phase spans (optional)
-  T* probe_ = nullptr;              ///< telemetry probe (optional)
-  C* ckpt_ = nullptr;               ///< postmortem checkpointer (optional)
+  O* observer_;
   std::vector<Rng> rngs_;
 
   Tick tick_ = 0;

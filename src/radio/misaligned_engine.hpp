@@ -229,12 +229,10 @@ class HalfSlotMedium {
 };
 
 /// The engine on the half-slot medium: constructed as
-/// `(g, schedule, nodes, offsets, seed, sink)`, stepped per half-slot
+/// `(g, schedule, nodes, offsets, seed, observer)`, stepped per half-slot
 /// with `step_half()`, run with a cap in local slots.  Checkpoint
 /// positions are global half-slots.
-template <NodeProtocol P, obs::EventSink S = obs::NullSink,
-          typename T = obs::telemetry::NullEngineProbe,
-          typename C = obs::postmortem::NullCheckpointer>
-using MisalignedEngine = Engine<P, S, T, C, HalfSlotMedium>;
+template <NodeProtocol P, typename O = obs::NullObserver>
+using MisalignedEngine = Engine<P, O, HalfSlotMedium>;
 
 }  // namespace urn::radio

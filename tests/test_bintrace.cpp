@@ -38,10 +38,9 @@ namespace {
 /// Run a real protocol execution with `sink` attached; the graph,
 /// schedule and all RNG streams are pure functions of `seed`, so two
 /// calls with the same seed see the identical event stream.
-template <typename S>
-radio::RunStats run_with_sink(std::uint64_t seed, std::size_t n, S* sink,
-                              core::Params* params_out = nullptr,
-                              SpanSink* spans = nullptr) {
+template <typename O>
+radio::RunStats run_with_sink(std::uint64_t seed, std::size_t n, O* observer,
+                              core::Params* params_out = nullptr) {
   Rng rng(seed);
   auto net = graph::random_udg(n, 5.5, 1.4, rng);
   const graph::Graph g = std::move(net.graph);
@@ -54,10 +53,9 @@ radio::RunStats run_with_sink(std::uint64_t seed, std::size_t n, S* sink,
     nodes.emplace_back(&params, v);
   }
   Rng wrng(mix_seed(seed, 5));
-  radio::Engine<core::ColoringNode, S> engine(
+  radio::Engine<core::ColoringNode, O> engine(
       g, radio::WakeSchedule::uniform(g.num_nodes(), 400, wrng),
-      std::move(nodes), seed, {}, sink);
-  engine.set_span_sink(spans);
+      std::move(nodes), seed, {}, observer);
   return engine.run(core::default_slot_budget(params, engine.schedule()));
 }
 
@@ -646,10 +644,9 @@ TEST(ChromeExport, SpanCaptureExportsWorkerTracks) {
 
 // ------------------------------ span hooks --------------------------------
 
-TEST(Spans, TracedEngineRecordsThreePhaseSpansPerSlot) {
-  MemorySink memory;
+TEST(Spans, SpanObserverRecordsThreePhaseSpansPerSlot) {
   SpanSink spans;
-  const auto stats = run_with_sink(/*seed=*/33, 24, &memory, nullptr, &spans);
+  const auto stats = run_with_sink(/*seed=*/33, 24, &spans);
   ASSERT_GT(stats.slots_run, 0);
   // Spans are recorded only for slots the engine actually steps: the
   // run() fast-forward jumps over the empty prefix before the first
@@ -677,12 +674,18 @@ TEST(Spans, TracedEngineRecordsThreePhaseSpansPerSlot) {
   EXPECT_EQ(medium, stepped);
 }
 
-TEST(Spans, NullSinkEngineCompilesSpanHooksAway) {
+TEST(Spans, SpanObserverLeavesTheRunUnchanged) {
+  // A spans-only observer keeps the batched protocol sweep (no events)
+  // and never touches an RNG stream: the run matches an unobserved one.
   SpanSink spans;
-  const auto stats =
-      run_with_sink<NullSink>(/*seed=*/33, 24, nullptr, nullptr, &spans);
-  ASSERT_GT(stats.slots_run, 0);
-  EXPECT_EQ(spans.size(), 0u);  // guarded by if constexpr (S::kEnabled)
+  const auto observed = run_with_sink(/*seed=*/33, 24, &spans);
+  const auto plain =
+      run_with_sink<NullObserver>(/*seed=*/33, 24, /*observer=*/nullptr);
+  EXPECT_EQ(observed.slots_run, plain.slots_run);
+  EXPECT_EQ(observed.transmissions, plain.transmissions);
+  EXPECT_EQ(observed.deliveries, plain.deliveries);
+  EXPECT_EQ(observed.collisions, plain.collisions);
+  EXPECT_GT(spans.size(), 0u);
 }
 
 TEST(Spans, ParallelTrialsRecordChunkSpansOnWorkerTracks) {

@@ -165,21 +165,6 @@ TEST(Sinks, RingSinkBelowCapacityKeepsEverything) {
   EXPECT_EQ(snap.back().slot, 2);
 }
 
-TEST(Sinks, TeeSinkFansOutAndToleratesNullBranches) {
-  MemorySink a;
-  MemorySink b;
-  TeeSink<MemorySink, MemorySink> both(&a, &b);
-  both.record(Event::wake(5, 1));
-  EXPECT_EQ(a.size(), 1u);
-  EXPECT_EQ(b.size(), 1u);
-
-  TeeSink<MemorySink, MemorySink> left_only(&a, nullptr);
-  left_only.record(Event::wake(6, 2));
-  left_only.flush();
-  EXPECT_EQ(a.size(), 2u);
-  EXPECT_EQ(b.size(), 1u);
-}
-
 TEST(Sinks, JsonlSinkWritesParseableFile) {
   const std::string path = ::testing::TempDir() + "obs_jsonl_sink.jsonl";
   {

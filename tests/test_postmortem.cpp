@@ -8,6 +8,10 @@
 
 #include <sys/stat.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -444,6 +448,78 @@ INSTANTIATE_TEST_SUITE_P(
       return param_info.param.kind == pm::EngineKind::kAligned
                  ? std::string("aligned")
                  : std::string("misaligned");
+    });
+
+// ---- corrupt scenario fields ----------------------------------------------
+
+struct ScenarioMutant {
+  const char* name;
+  void (*mutate)(core::CheckpointScenario&);
+};
+
+/// The aligned golden fixture with one scenario field rewritten through
+/// the scenario codec.  The section keeps its length, so only that
+/// field's bytes differ from the fixture.  Returns the mutant's path.
+std::string write_mutant(const ScenarioMutant& m) {
+  const std::string fixture =
+      std::string(URN_FIXTURE_DIR) + "/aligned_v1.urnc";
+  const pm::CheckpointFile file = pm::read_checkpoint_file(fixture);
+  EXPECT_TRUE(file.ok) << file.error;
+  pm::Reader r(file.scenario);
+  core::CheckpointScenario s;
+  EXPECT_TRUE(core::read_scenario(r, s));
+  EXPECT_EQ(core::render_scenario(s), file.scenario);
+  m.mutate(s);
+  const std::string scenario = core::render_scenario(s);
+  EXPECT_EQ(scenario.size(), file.scenario.size());
+
+  std::ifstream in(fixture, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  // Header: magic, version, kind, position, scenario section length.
+  constexpr std::size_t kScenarioAt = 4 + 2 + 2 + 8 + 4;
+  bytes.replace(kScenarioAt, scenario.size(), scenario);
+  const std::string path =
+      ::testing::TempDir() + "mutant_" + m.name + ".urnc";
+  EXPECT_TRUE(pm::write_text_file(path, bytes));
+  return path;
+}
+
+class CorruptScenario : public ::testing::TestWithParam<ScenarioMutant> {};
+
+TEST_P(CorruptScenario, LoadRejectsTheSection) {
+  const std::string path = write_mutant(GetParam());
+  const core::LoadedCheckpoint ck = core::load_checkpoint(path);
+  EXPECT_FALSE(ck.ok);
+  EXPECT_NE(ck.error.find("corrupt scenario section"), std::string::npos)
+      << ck.error;
+  EXPECT_FALSE(core::resume_coloring(ck).ok);
+  EXPECT_FALSE(core::describe_checkpoint(ck).ok);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GoldenAligned, CorruptScenario,
+    ::testing::Values(
+        ScenarioMutant{"negative_wake",
+                       [](core::CheckpointScenario& s) {
+                         s.wake_slots[0] = -5;
+                       }},
+        ScenarioMutant{"drop_above_one",
+                       [](core::CheckpointScenario& s) {
+                         s.medium.drop_probability = 1.5;
+                       }},
+        ScenarioMutant{"drop_nan",
+                       [](core::CheckpointScenario& s) {
+                         s.medium.drop_probability =
+                             std::numeric_limits<double>::quiet_NaN();
+                       }},
+        ScenarioMutant{"negative_alpha",
+                       [](core::CheckpointScenario& s) {
+                         s.params.alpha = -1.0;
+                       }}),
+    [](const ::testing::TestParamInfo<ScenarioMutant>& param_info) {
+      return std::string(param_info.param.name);
     });
 
 }  // namespace

@@ -486,10 +486,9 @@ TEST(TelemetryEngineProbe, MisalignedEngineMatchesStats) {
   }
   Registry reg;
   EngineProbe probe(reg);
-  radio::MisalignedEngine<HalfScript, obs::NullSink, EngineProbe> eng(
+  radio::MisalignedEngine<HalfScript, EngineProbe> eng(
       g, radio::WakeSchedule::synchronous(3), std::move(nodes), {0, 1, 0},
-      1);
-  eng.set_telemetry(&probe);
+      1, &probe);
   const radio::RunStats stats = eng.run(64);
   probe.end_run();
   const Snapshot snap = reg.snapshot();
