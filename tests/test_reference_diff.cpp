@@ -370,14 +370,6 @@ std::pair<radio::WakeSchedule, radio::Slot> make_wakes(
   return {radio::WakeSchedule{std::move(wakes)}, 8000 + tail};
 }
 
-std::vector<core::ColoringNode> make_nodes(const core::Params& params,
-                                           std::size_t n) {
-  std::vector<core::ColoringNode> nodes;
-  nodes.reserve(n);
-  for (graph::NodeId v = 0; v < n; ++v) nodes.emplace_back(&params, v);
-  return nodes;
-}
-
 /// Every node's serialized protocol state, equal byte for byte.
 template <typename Fast, typename Ref>
 void expect_node_blobs_equal(std::size_t n, const Fast& fast,
@@ -402,9 +394,9 @@ TEST_P(EngineDiffHalfSlot, HalfSlotMediumMatchesReference) {
   const auto offsets = make_offsets(offsets_kind, n, seed);
 
   radio::MisalignedEngine<core::ColoringNode> fast(
-      g, schedule, make_nodes(params, n), offsets, seed);
+      g, schedule, core::make_nodes(params, n), offsets, seed);
   testing::ReferenceEngine<core::ColoringNode> ref(
-      g, schedule, make_nodes(params, n), offsets, seed);
+      g, schedule, core::make_nodes(params, n), offsets, seed);
 
   expect_stats_equal(fast.run(budget), ref.run(budget));
   EXPECT_GT(fast.stats().deliveries, 0u);
@@ -444,10 +436,10 @@ TEST(EngineDiffBatch, HalfSlotTracedMatchesUntraced) {
     const auto offsets = make_offsets(offsets_kind, n, seed);
 
     radio::MisalignedEngine<core::ColoringNode> batch(
-        g, schedule, make_nodes(params, n), offsets, seed);
+        g, schedule, core::make_nodes(params, n), offsets, seed);
     obs::MemorySink sink;
     radio::MisalignedEngine<core::ColoringNode, obs::MemorySink> scalar(
-        g, schedule, make_nodes(params, n), offsets, seed, &sink);
+        g, schedule, core::make_nodes(params, n), offsets, seed, &sink);
 
     for (int h = 0; h < 2 * 900 + 1; ++h) {
       batch.step_half();
