@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   std::printf("leader election: %zu/%zu fully covered\n", covered, trials);
 
   // One representative traced run (trial 0's exact seeds) for --trace /
-  // --metrics-out / --monitor experimentation on the gate scenario;
+  // --trace-bin / --monitor experimentation on the gate scenario;
   // with --explain its in-memory capture is attributed to causes and
   // lands as `explain.*` keys of BENCH_gate_coloring.json.
   if (trace.enabled()) {

@@ -12,12 +12,12 @@
 ///    paths ("scenario.n", "medium.collisions"), values JSON scalars.
 ///
 ///  * `TraceArgs` — the standard `--trace` / `--trace-bin` /
-///    `--trace-bin-ring` / `--metrics-out` / `--metrics-window` /
-///    `--monitor` / `--spans-out` / `--jobs` flag set that lets any
-///    experiment record one representative run as a JSONL and/or compact
-///    binary event log (both for `urn_trace`; the binary one optionally
-///    ring-bounded), a per-window metrics CSV, check the paper's
-///    invariants online (failing the binary with exit 2 on violation),
+///    `--trace-bin-ring` / `--monitor` / `--spans-out` / `--jobs` flag set
+///    that lets any experiment record one representative run as a JSONL
+///    and/or compact binary event log (both for `urn_trace`, which also
+///    re-derives the per-window metrics CSV from either; the binary one
+///    optionally ring-bounded), check the paper's invariants online
+///    (failing the binary with exit 2 on violation),
 ///    capture wall-clock span timelines (runner phases + executor
 ///    workers) as Chrome trace-event JSON, and fan its trial loops out
 ///    across worker threads (`--jobs`, bit-identical results for every
@@ -65,7 +65,6 @@
 #include "obs/ledger.hpp"
 #include "obs/monitor.hpp"
 #include "obs/postmortem.hpp"
-#include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 #include "support/cli.hpp"
 #include "support/rng.hpp"
@@ -149,15 +148,16 @@ class BenchSummary {
     set(prefix + ".all_decided", s.all_decided);
   }
 
-  /// Snapshot the global profile/counter registry under "profile.*",
-  /// and — when a telemetry-enabled run populated it — the global
-  /// telemetry registry under "telemetry.*" (counters, gauges, and
-  /// histogram count/sum/p50/p95/max summaries).  The bench regression
+  /// Snapshot the profile registry (`telemetry::profile_registry()`)
+  /// under "profile.*", and — when a telemetry-enabled run populated it —
+  /// the global telemetry registry under "telemetry.*" (counters, gauges,
+  /// and histogram count/sum/p50/p95/max summaries).  The bench regression
   /// diff skips the whole "telemetry." class, like ".ns": telemetry
   /// totals include wall-clock and scheduling-dependent quantities, so
   /// they are reported, never gated on.
   void add_profile() {
-    for (const auto& [k, v] : obs::CounterRegistry::global().snapshot()) {
+    for (const auto& [k, v] :
+         obs::telemetry::profile_registry().snapshot().counters) {
       set("profile." + k, v);
     }
     const auto& reg = obs::telemetry::Registry::global();
@@ -216,11 +216,9 @@ struct TraceArgs {
   std::string trace_path;      ///< --trace: JSONL event log destination
   std::string trace_bin_path;  ///< --trace-bin: binary event log
   std::size_t bin_ring = 0;    ///< --trace-bin-ring: keep last N (0 = all)
-  std::string metrics_path;  ///< --metrics-out: per-window CSV destination
-  std::string spans_path;    ///< --spans-out: Chrome-trace span timeline
-  std::int64_t window = 16;  ///< --metrics-window
-  bool monitor = false;      ///< --monitor: online invariant checks
-  std::size_t jobs = 1;      ///< --jobs: trial-loop workers (0 = all cores)
+  std::string spans_path;      ///< --spans-out: Chrome-trace span timeline
+  bool monitor = false;        ///< --monitor: online invariant checks
+  std::size_t jobs = 1;        ///< --jobs: trial-loop workers (0 = all cores)
   std::string telemetry_out;   ///< --telemetry-out: JSONL snapshot stream
   std::string telemetry_prom;  ///< --telemetry-prom: Prometheus exposition
   std::int64_t telemetry_interval = 1000;  ///< --telemetry-interval (ms)
@@ -284,13 +282,10 @@ struct TraceArgs {
 
   [[nodiscard]] bool enabled() const {
     return monitor || explain || !trace_path.empty() ||
-           !trace_bin_path.empty() || !metrics_path.empty() ||
-           postmortem().enabled();
+           !trace_bin_path.empty() || postmortem().enabled();
   }
   [[nodiscard]] core::TraceOptions options() const {
     core::TraceOptions opts;
-    opts.metrics = !metrics_path.empty();
-    opts.metrics_window = window;
     opts.events_jsonl = trace_path;
     opts.events_bin = trace_bin_path;
     opts.bin_ring = bin_ring;
@@ -316,12 +311,9 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
   flags.add_int("trace-bin-ring", 0,
                 "bound the binary log to the last N events "
                 "(flight-recorder mode; 0 = keep everything)");
-  flags.add_string("metrics-out", "",
-                   "write that run's per-window metrics series as CSV");
   flags.add_string("spans-out", "",
                    "record wall-clock span timelines (runner phases, "
                    "executor workers) as Chrome trace-event JSON");
-  flags.add_int("metrics-window", 16, "metrics window width in slots");
   flags.add_bool("monitor", false,
                  "check the paper's invariants online on the traced run; "
                  "any violation fails the binary with exit 2");
@@ -366,9 +358,7 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
   args.trace_bin_path = flags.get_string("trace-bin");
   args.bin_ring = static_cast<std::size_t>(
       std::max<std::int64_t>(0, flags.get_int("trace-bin-ring")));
-  args.metrics_path = flags.get_string("metrics-out");
   args.spans_path = flags.get_string("spans-out");
-  args.window = std::max<std::int64_t>(1, flags.get_int("metrics-window"));
   args.monitor = flags.get_bool("monitor");
   args.jobs =
       static_cast<std::size_t>(std::max<std::int64_t>(0, flags.get_int("jobs")));
@@ -387,8 +377,8 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
   // Fail on unwritable destinations now, not after the (often long)
   // aggregate loops have already run.
   for (const std::string& path :
-       {args.trace_path, args.trace_bin_path, args.metrics_path,
-        args.spans_path, args.telemetry_out, args.telemetry_prom}) {
+       {args.trace_path, args.trace_bin_path, args.spans_path,
+        args.telemetry_out, args.telemetry_prom}) {
     if (path.empty()) continue;
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) {
@@ -456,16 +446,6 @@ inline core::RunResult run_traced(const TraceArgs& args,
                 "urn_trace --log %s --kappa2 %u)\n",
                 static_cast<unsigned long long>(run.events_recorded),
                 log.c_str(), log.c_str(), params.kappa2);
-  }
-  if (!args.metrics_path.empty() && run.series.has_value()) {
-    if (run.series->write_csv_file(args.metrics_path)) {
-      std::printf("(metrics: %zu windows of %lld slots -> %s)\n",
-                  run.series->size(),
-                  static_cast<long long>(run.series->window()),
-                  args.metrics_path.c_str());
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", args.metrics_path.c_str());
-    }
   }
   if (run.monitor.has_value()) {
     if (!run.monitor->ok()) {

@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
       summary.set(std::string(key) + ".mean_latency", mean_t.mean());
     }
 
-    // --trace / --metrics-out: record trial 0 at drop_p = 0.25, a lossy
+    // --trace / --trace-bin: record trial 0 at drop_p = 0.25, a lossy
     // but fully-absorbed operating point — the log then contains "drop"
     // events for urn_trace to tally.
     if (trace.enabled() && p == 0.25) {

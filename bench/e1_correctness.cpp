@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     summary.set(prefix + ".mean_latency", agg.mean_latency.mean());
     summary.set(prefix + ".max_latency", agg.max_latency.max());
 
-    // --trace / --metrics-out: re-run trial 0 of the largest size with a
+    // --trace / --trace-bin: re-run trial 0 of the largest size with a
     // live sink.  Sinks never touch the RNG streams, so this run is
     // bit-identical to the one aggregated above.
     if (trace.enabled() && n == 512u) {

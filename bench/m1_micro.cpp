@@ -15,7 +15,6 @@
 #include "graph/generators.hpp"
 #include "graph/independence.hpp"
 #include "obs/bintrace.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "obs/telemetry.hpp"
 #include "support/rng.hpp"
@@ -82,11 +81,11 @@ void BM_ProtocolSlots(benchmark::State& state) {
 BENCHMARK(BM_ProtocolSlots)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 
 void BM_ProtocolSlotsTraced(benchmark::State& state) {
-  // Same workload as BM_ProtocolSlots but with a live MetricsSink
-  // (window 16) attached — the cost of observability when it is ON.
-  // Compare against BM_ProtocolSlots, which runs the events-off engine
-  // (no event is built, the protocol sweep stays batched): that pair is
-  // the marginal cost of live metrics.
+  // Same workload as BM_ProtocolSlots but with an in-memory event capture
+  // (`TraceOptions::memory`) attached — the cost of observability when it
+  // is ON.  Compare against BM_ProtocolSlots, which runs the events-off
+  // engine (no event is built, the protocol sweep stays batched): that
+  // pair is the marginal cost of building and keeping every event.
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   const double side = 1.5 * std::sqrt(static_cast<double>(n) / 2.8);
@@ -95,14 +94,15 @@ void BM_ProtocolSlotsTraced(benchmark::State& state) {
   const auto params = core::Params::practical(n, delta, 5, 12);
   std::uint64_t seed = 10;
   std::int64_t node_slots = 0;
+  obs::MemorySink memory;
   core::TraceOptions trace;
-  trace.metrics = true;
-  trace.metrics_window = 16;
+  trace.memory = &memory;
   for (auto _ : state) {
+    memory.clear();
     const auto run = core::run_coloring_traced(
         net.graph, params, radio::WakeSchedule::synchronous(n), seed++,
         trace);
-    benchmark::DoNotOptimize(run.series->size());
+    benchmark::DoNotOptimize(memory.size());
     node_slots += static_cast<std::int64_t>(run.medium.slots_run) *
                   static_cast<std::int64_t>(n);
   }
@@ -211,24 +211,6 @@ void BM_AwakeScanSoA(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_AwakeScanSoA)->Arg(2048)->Arg(100000);
-
-void BM_EventSinkRecord(benchmark::State& state) {
-  // Raw sink throughput: how fast can a RingSink absorb events.
-  obs::RingSink ring(1 << 12);
-  std::int64_t recorded = 0;
-  for (auto _ : state) {
-    for (obs::Slot s = 0; s < 1024; ++s) {
-      ring.record(obs::Event::transmit(
-          s, static_cast<obs::NodeId>(s & 63),
-          static_cast<std::uint8_t>(obs::MsgCode::kCompete), /*color=*/0,
-          /*counter=*/s));
-    }
-    recorded += 1024;
-    benchmark::DoNotOptimize(ring.recorded());
-  }
-  state.SetItemsProcessed(recorded);
-}
-BENCHMARK(BM_EventSinkRecord);
 
 // ---- trace-capture overhead -----------------------------------------------
 // The BM_Sink* family drives the same synthetic event mix through every

@@ -113,9 +113,6 @@ int main(int argc, char** argv) {
   flags.add_int("trace-bin-ring", 0,
                 "bound the binary log to the most recent N events "
                 "(0 = keep every event)");
-  flags.add_string("metrics-out", "",
-                   "write trial 0's per-window metrics series as CSV");
-  flags.add_int("metrics-window", 16, "metrics window width in slots");
   flags.add_bool("monitor", false,
                  "check the paper's invariants online on every trial; any "
                  "violation fails the run with exit 2");
@@ -176,9 +173,6 @@ int main(int argc, char** argv) {
   trace.events_bin = flags.get_string("trace-bin");
   trace.bin_ring = static_cast<std::size_t>(
       std::max<std::int64_t>(0, flags.get_int("trace-bin-ring")));
-  trace.metrics = !flags.get_string("metrics-out").empty();
-  trace.metrics_window =
-      std::max<std::int64_t>(1, flags.get_int("metrics-window"));
   // Postmortem bundles: each trial writes its own subdirectory
   // (<dir>/trialNNNN) so the parallel trial loop never shares files.
   core::PostmortemOptions postmortem;
@@ -192,12 +186,11 @@ int main(int argc, char** argv) {
   }
   const bool monitor =
       flags.get_bool("monitor") || postmortem.dump_on_violation;
-  const bool tracing =
-      trace.metrics || !trace.events_jsonl.empty() || !trace.events_bin.empty();
+  const bool tracing = !trace.events_jsonl.empty() || !trace.events_bin.empty();
   // Reject unwritable destinations up front rather than aborting mid-run.
   for (const std::string& path :
        {trace.events_jsonl, trace.events_bin,
-        flags.get_string("metrics-out"), flags.get_string("telemetry-out"),
+        flags.get_string("telemetry-out"),
         flags.get_string("telemetry-prom")}) {
     if (path.empty()) continue;
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -264,7 +257,7 @@ int main(int argc, char** argv) {
       [&](SimPartial& acc, std::size_t t) {
         Rng wrng(mix_seed(seed, 1000 + t));
         const auto schedule = build_wake(flags, net, params, wrng);
-        // Trial 0 carries the trace/metrics sinks; --monitor and
+        // Trial 0 carries the event logs; --monitor and
         // --telemetry-* apply to every trial.  Sinks and probes never
         // touch the RNG streams, so traced and monitored runs are
         // bit-identical to what run_coloring would have produced.
@@ -355,15 +348,6 @@ int main(int argc, char** argv) {
       std::printf("(trace: %llu events -> %s)\n",
                   static_cast<unsigned long long>(run.events_recorded),
                   out.c_str());
-    }
-    if (run.series.has_value()) {
-      const std::string out = flags.get_string("metrics-out");
-      if (run.series->write_csv_file(out)) {
-        std::printf("(metrics: %zu windows -> %s)\n", run.series->size(),
-                    out.c_str());
-      } else {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-      }
     }
   }
   for (const std::string& line : sim.verbose_lines) {

@@ -6,7 +6,6 @@
 
 #include "core/checkpoint.hpp"
 #include "obs/bintrace.hpp"
-#include "obs/profile.hpp"
 #include "obs/sink.hpp"
 #include "obs/telemetry.hpp"
 #include "support/check.hpp"
@@ -50,19 +49,18 @@ namespace pm = obs::postmortem;
 
 /// True when `trace` asks for a consumer of the engine's event stream.
 bool consumes_events(const TraceOptions& trace) {
-  return trace.metrics || !trace.events_jsonl.empty() ||
-         !trace.events_bin.empty() || trace.monitor ||
-         trace.memory != nullptr;
+  return !trace.events_jsonl.empty() || !trace.events_bin.empty() ||
+         trace.monitor || trace.memory != nullptr;
 }
 
 /// The runner's engine observer (obs/observer.hpp).  It owns the
 /// optional consumers `TraceOptions` requests and feeds each directly:
-/// events to the metrics series, the JSONL and binary logs, the online
-/// monitor and the caller's memory capture; slot samples to the
-/// telemetry probe; checkpoint offers to the postmortem checkpointer;
-/// phase spans to the caller's span sink.  Events are the one compile-
-/// time switch (`kEventsOn`): without them the engine keeps its batched
-/// protocol sweep, so each entry point instantiates the engine twice.
+/// events to the JSONL and binary logs, the online monitor and the
+/// caller's memory capture; slot samples to the telemetry probe;
+/// checkpoint offers to the postmortem checkpointer; phase spans to the
+/// caller's span sink.  Events are the one compile-time switch
+/// (`kEventsOn`): without them the engine keeps its batched protocol
+/// sweep, so each entry point instantiates the engine twice.
 template <bool kEventsOn>
 class RunObserver {
  public:
@@ -77,7 +75,6 @@ class RunObserver {
       : memory_(trace.memory), spans_(trace.spans), ckpt_(ckpt) {
     if (trace.telemetry != nullptr) probe_.emplace(*trace.telemetry);
     if constexpr (kEventsOn) {
-      if (trace.metrics) metrics_.emplace(trace.metrics_window);
       if (!trace.events_jsonl.empty()) {
         jsonl_.emplace(trace.events_jsonl);
         URN_CHECK_MSG(jsonl_->ok(),
@@ -96,7 +93,6 @@ class RunObserver {
 
   // Events.
   void record(const obs::Event& e) {
-    if (metrics_) metrics_->record(e);
     if (jsonl_) jsonl_->record(e);
     if (bin_) bin_->record(e);
     if (monitor_) monitor_->record(e);
@@ -136,34 +132,32 @@ class RunObserver {
     if (spans_ != nullptr) spans_->record(name, track, start_ns, dur_ns, arg);
   }
 
-  /// Hand the artifacts to a result carrying the shared `series` /
+  /// Hand the artifacts to a result carrying the shared
   /// `events_recorded` / `monitor` fields, and account the tracing
   /// overhead under `trace.overhead.*` (deterministic event / byte
   /// counts; the final-flush wall clock lands under `.ns` keys, which the
   /// bench regression diff ignores).
   template <typename Result>
   void finish_into(Result& result) {
-    if (metrics_) result.series = metrics_->finish(result.medium.slots_run);
-    auto& counters = obs::CounterRegistry::global();
+    auto& profile = obs::telemetry::profile_registry();
     if (jsonl_ || bin_) {
-      obs::ProfileScope flush_scope("trace.overhead.flush");
+      obs::telemetry::ProfileScope flush_scope("trace.overhead.flush");
       flush();
     }
     if (jsonl_) {
       result.events_recorded = jsonl_->written();
-      counters.add("trace.overhead.jsonl.events", jsonl_->written());
-      counters.add("trace.overhead.jsonl.bytes", jsonl_->bytes());
+      profile.counter("trace.overhead.jsonl.events").add(jsonl_->written());
+      profile.counter("trace.overhead.jsonl.bytes").add(jsonl_->bytes());
     }
     if (bin_) {
       result.events_recorded = bin_->written();
-      counters.add("trace.overhead.bin.events", bin_->written());
-      counters.add("trace.overhead.bin.bytes", bin_->bytes());
+      profile.counter("trace.overhead.bin.events").add(bin_->written());
+      profile.counter("trace.overhead.bin.bytes").add(bin_->bytes());
     }
     if (monitor_) result.monitor = monitor_->report();
   }
 
  private:
-  std::optional<obs::MetricsSink> metrics_;
   std::optional<obs::JsonlSink> jsonl_;
   std::optional<obs::BinSink> bin_;
   std::optional<obs::InvariantMonitorSink> monitor_;
@@ -204,7 +198,7 @@ RunResult run_impl(const graph::Graph& g, const Params& params,
                    O& observer) {
   RunResult result;
   {
-    obs::ProfileScope profile("core.run_coloring");
+    obs::telemetry::ProfileScope scope("core.run_coloring");
     radio::Engine<ColoringNode, O> engine(g, schedule, make_nodes(params, g.num_nodes()),
                                           seed, medium, &observer);
     const radio::RunStats stats = engine.run(max_slots);
@@ -222,14 +216,14 @@ RunResult run_impl(const graph::Graph& g, const Params& params,
       }
     }
 
-    // Thread-safe `add`: run_impl executes concurrently under the trial
+    // Sharded counters: run_impl executes concurrently under the trial
     // executor (exec::parallel_for_trials).
-    auto& counters = obs::CounterRegistry::global();
-    counters.add("core.run_coloring.runs", 1);
-    counters.add("core.run_coloring.slots",
-                 static_cast<std::uint64_t>(stats.slots_run));
-    counters.add("core.run_coloring.node_slots",
-                 static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
+    auto& profile = obs::telemetry::profile_registry();
+    profile.counter("core.run_coloring.runs").add(1);
+    profile.counter("core.run_coloring.slots")
+        .add(static_cast<std::uint64_t>(stats.slots_run));
+    profile.counter("core.run_coloring.node_slots")
+        .add(static_cast<std::uint64_t>(stats.slots_run) * g.num_nodes());
   }
   observer.finish_into(result);
   return result;
@@ -248,7 +242,7 @@ LeaderElectionResult leader_election_impl(const graph::Graph& g,
                                           O& observer) {
   LeaderElectionResult result;
   {
-    obs::ProfileScope profile("core.run_leader_election");
+    obs::telemetry::ProfileScope scope("core.run_leader_election");
     radio::Engine<ColoringNode, O> engine(g, schedule, make_nodes(params, g.num_nodes()),
                                           seed, medium, &observer);
     // Step()-driven loop: run()'s sample bracketing and final flush never
@@ -293,10 +287,10 @@ LeaderElectionResult leader_election_impl(const graph::Graph& g,
     }
     observer.end_run();
 
-    auto& counters = obs::CounterRegistry::global();
-    counters.add("core.run_leader_election.runs", 1);
-    counters.add("core.run_leader_election.slots",
-                 static_cast<std::uint64_t>(result.medium.slots_run));
+    auto& profile = obs::telemetry::profile_registry();
+    profile.counter("core.run_leader_election.runs").add(1);
+    profile.counter("core.run_leader_election.slots")
+        .add(static_cast<std::uint64_t>(result.medium.slots_run));
   }
   observer.finish_into(result);
   return result;

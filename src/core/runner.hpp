@@ -19,7 +19,6 @@
 #include "core/protocol.hpp"
 #include "graph/coloring.hpp"
 #include "graph/graph.hpp"
-#include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -55,9 +54,6 @@ struct RunResult {
   std::uint32_t max_verify_states = 0;  ///< max #A_i states any node entered
   std::uint64_t duplicate_serves = 0;
 
-  /// Per-window medium/protocol time series; only populated by
-  /// `run_coloring_traced` with `TraceOptions::metrics` set.
-  std::optional<obs::TimeSeries> series;
   /// Events streamed to the event logs (`events_jsonl` / `events_bin`;
   /// 0 when not tracing).
   std::uint64_t events_recorded = 0;
@@ -102,15 +98,12 @@ struct PostmortemOptions {
 
 /// Observability knobs for `run_coloring_traced`.  Everything defaults to
 /// off, which is what `run_coloring` runs with.  The consumers of the
-/// event stream (metrics, the event logs, the monitor, memory capture)
-/// switch the engine to its events-on instantiation; telemetry, spans and
+/// event stream (the event logs, the monitor, memory capture) switch the
+/// engine to its events-on instantiation; telemetry, spans and
 /// checkpoints alone keep the batched protocol sweep.  No knob changes
-/// the run's results.
+/// the run's results.  The per-window metrics series is derived offline
+/// from an event log (`urn_trace --metrics-out`, obs/metrics.hpp).
 struct TraceOptions {
-  /// Collect a per-window obs::TimeSeries into RunResult::series.
-  bool metrics = false;
-  /// Window width in slots for the time series (≥ 1).
-  radio::Slot metrics_window = 1;
   /// When non-empty, stream every event to this JSONL file (the format
   /// `urn_trace` consumes).
   std::string events_jsonl;
@@ -174,8 +167,8 @@ struct TraceOptions {
 
 /// `run_coloring` with observability: identical protocol execution (same
 /// seeds, same RNG streams, bit-identical coloring), observed by the
-/// consumers `trace` requests — metrics series, event logs, monitor,
-/// memory capture, telemetry, spans and postmortem checkpoints.
+/// consumers `trace` requests — event logs, monitor, memory capture,
+/// telemetry, spans and postmortem checkpoints.
 [[nodiscard]] RunResult run_coloring_traced(
     const graph::Graph& g, const Params& params,
     const radio::WakeSchedule& schedule, std::uint64_t seed,
@@ -223,9 +216,6 @@ struct LeaderElectionResult {
   bool all_covered = false;
   radio::RunStats medium;
 
-  /// Per-window time series; only populated by the traced variant with
-  /// `TraceOptions::metrics` set.
-  std::optional<obs::TimeSeries> series;
   /// Events streamed to the event logs (`events_jsonl` / `events_bin`;
   /// 0 when not tracing).
   std::uint64_t events_recorded = 0;

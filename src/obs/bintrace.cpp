@@ -100,7 +100,7 @@ bool parse_bin_record(const unsigned char* data, Event& out) {
 }
 
 BinSink::BinSink(const std::string& path, std::size_t ring_capacity)
-    : path_(path), capacity_(ring_capacity) {
+    : capacity_(ring_capacity) {
   file_ = std::fopen(path.c_str(), "wb");
   if (file_ == nullptr) return;
   // BinSink buffers records itself; an unbuffered stream skips stdio's

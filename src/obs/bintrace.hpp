@@ -90,7 +90,6 @@ class BinSink {
   /// File bytes emitted so far, header included.
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
   [[nodiscard]] bool ring_mode() const { return capacity_ > 0; }
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   static constexpr std::size_t kFlushThreshold = 1 << 16;
@@ -99,7 +98,6 @@ class BinSink {
   /// refresh the dropped count on every rewrite).
   [[nodiscard]] std::string header_bytes() const;
 
-  std::string path_;
   std::FILE* file_ = nullptr;
   /// Streaming-mode serialization buffer: sized once in the
   /// constructor; record() serializes in place at offset `len_`.

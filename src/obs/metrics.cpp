@@ -15,6 +15,9 @@ MetricsSink::MetricsSink(Slot window) : window_(window) {
 MetricsRow& MetricsSink::row_for(Slot slot) {
   URN_CHECK(slot >= 0);
   const auto idx = static_cast<std::size_t>(slot / window_);
+  URN_CHECK_MSG(idx < kMaxWindows, "slot " << slot << " is past "
+                                           << kMaxWindows << " windows of "
+                                           << window_ << " slots");
   while (rows_.size() <= idx) {
     MetricsRow row;
     row.start = static_cast<Slot>(rows_.size()) * window_;
@@ -61,6 +64,7 @@ TimeSeries MetricsSink::finish(Slot slots_run) const {
   // Pad trailing windows so the series spans the whole run.
   if (slots_run > 0) {
     const auto want = static_cast<std::size_t>((slots_run - 1) / window_) + 1;
+    URN_CHECK(want <= kMaxWindows);
     while (rows.size() < want) {
       MetricsRow row;
       row.start = static_cast<Slot>(rows.size()) * window_;
@@ -99,23 +103,6 @@ bool TimeSeries::write_csv_file(const std::string& path) const {
   if (!os) return false;
   write_csv(os);
   return static_cast<bool>(os);
-}
-
-void TimeSeries::write_json(std::ostream& os) const {
-  os << "{\"window\":" << window_ << ",\"rows\":[";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    const MetricsRow& r = rows_[i];
-    if (i != 0) os << ',';
-    os << "{\"start\":" << r.start << ",\"wakes\":" << r.wakes
-       << ",\"decisions\":" << r.decisions
-       << ",\"tx\":" << r.transmissions << ",\"rx\":" << r.deliveries
-       << ",\"collisions\":" << r.collisions << ",\"drops\":" << r.drops
-       << ",\"resets\":" << r.resets << ",\"serves\":" << r.serves
-       << ",\"phase_changes\":" << r.phase_changes
-       << ",\"awake\":" << r.awake_end << ",\"decided\":" << r.decided_end
-       << "}";
-  }
-  os << "]}";
 }
 
 std::uint64_t TimeSeries::peak_collisions() const {

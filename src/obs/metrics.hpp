@@ -6,7 +6,9 @@
 /// windows of `window` slots and accumulates per-window counts plus the
 /// cumulative awake/decided population.  `finish()` produces a
 /// `TimeSeries` covering the whole run (empty windows included, so rows
-/// are evenly spaced), exportable as CSV or JSON for plotting.
+/// are evenly spaced), exportable as CSV for plotting.  The series is
+/// derived offline: `urn_trace --metrics-out` replays a recorded log
+/// (JSONL or binary) through a `MetricsSink`.
 ///
 /// The trajectory quantities here are exactly what the paper's per-node
 /// guarantees talk about: when the awake population ramps up, how long
@@ -56,7 +58,6 @@ class TimeSeries {
 
   [[nodiscard]] Slot window() const { return window_; }
   [[nodiscard]] const std::vector<MetricsRow>& rows() const { return rows_; }
-  [[nodiscard]] bool empty() const { return rows_.empty(); }
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
 
   /// Column header of the CSV form (shared by all exporters).
@@ -67,9 +68,6 @@ class TimeSeries {
   /// Write to a file; returns false if the file could not be opened.
   bool write_csv_file(const std::string& path) const;
 
-  /// JSON object {"window":W,"rows":[{...},...]}.
-  void write_json(std::ostream& os) const;
-
   /// Peak per-window collision count (0 for an empty series) — the
   /// headline "when/how hard did the medium congest" number.
   [[nodiscard]] std::uint64_t peak_collisions() const;
@@ -79,11 +77,14 @@ class TimeSeries {
   std::vector<MetricsRow> rows_;
 };
 
-/// EventSink that accumulates the series.  Events must arrive in
-/// nondecreasing slot order (the engines emit in slot order).
+/// EventSink that accumulates the series.  Every event slot must be
+/// non-negative and below `kMaxWindows * window`.
 class MetricsSink {
  public:
   static constexpr bool kEnabled = true;
+  /// Most windows one series may span (about 80 MiB of rows): an event
+  /// slot past `kMaxWindows * window` is refused, not allocated for.
+  static constexpr std::size_t kMaxWindows = std::size_t{1} << 20;
 
   /// \param window width in slots of each bucket (≥ 1)
   explicit MetricsSink(Slot window = 1);

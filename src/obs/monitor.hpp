@@ -18,8 +18,8 @@
 ///    configured O(κ₂⁴ Δ log n) slot budget.
 ///
 /// The monitor is one of the event consumers the runner's observer feeds
-/// alongside metrics and the logs, so a run can stream all of them at
-/// once; it never touches RNG streams, so monitored runs stay
+/// alongside the logs and a memory capture, so a run can stream all of
+/// them at once; it never touches RNG streams, so monitored runs stay
 /// bit-identical to unmonitored ones.
 /// Graph-dependent checks (conflict / leader independence / locality)
 /// activate only when the `MonitorConfig` carries adjacency / θ data;

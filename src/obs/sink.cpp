@@ -2,7 +2,7 @@
 
 namespace urn::obs {
 
-JsonlSink::JsonlSink(const std::string& path) : path_(path) {
+JsonlSink::JsonlSink(const std::string& path) {
   file_ = std::fopen(path.c_str(), "wb");
   buffer_.reserve(kFlushThreshold + 256);
 }

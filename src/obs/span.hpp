@@ -1,9 +1,9 @@
 /// \file span.hpp
 /// \brief Wall-clock span timelines: who was doing what, when.
 ///
-/// `CounterRegistry` (profile.hpp) answers "how much time in total"; a
-/// `SpanSink` answers "when exactly, and on which track" — the data a
-/// timeline viewer needs.  Two producers feed it:
+/// `telemetry::ProfileScope` (telemetry.hpp) answers "how much time in
+/// total"; a `SpanSink` answers "when exactly, and on which track" — the
+/// data a timeline viewer needs.  Two producers feed it:
 ///
 ///  * the radio engine, when its observer takes spans, records one span
 ///    per runner phase per slot (wake-up processing, protocol step,

@@ -117,6 +117,11 @@ Registry& Registry::global() {
   return instance;
 }
 
+Registry& profile_registry() {
+  static Registry instance;
+  return instance;
+}
+
 Counter& Registry::counter(std::string_view name) {
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = counters_.find(name);
@@ -335,7 +340,7 @@ Snapshotter::Snapshotter(Registry& registry, SnapshotterOptions options)
       options_(std::move(options)),
       start_(std::chrono::steady_clock::now()) {
   if (options_.interval_ms == 0) options_.interval_ms = 1;
-  if (options_.truncate && !options_.jsonl_path.empty()) {
+  if (!options_.jsonl_path.empty()) {
     if (std::FILE* f = std::fopen(options_.jsonl_path.c_str(), "wb")) {
       std::fclose(f);
     }

@@ -20,8 +20,10 @@
 ///    stream into one histogram — the same partition-invariant algebra the
 ///    trial executor relies on for `Samples`/`RunLedger` (test-pinned).
 ///  * `Registry` — the named-metric namespace.  Metric objects have stable
-///    addresses for the process lifetime of the registry, so probes
-///    resolve names once and keep raw pointers (the `CounterCell` idiom).
+///    addresses until `clear()`, so probes resolve names once and keep
+///    raw pointers.  Two process-wide instances exist: `global()`, which
+///    the `--telemetry-*` flags stream, and `profile_registry()`, which
+///    holds the runner's `ProfileScope` timers and run counters.
 ///  * `Snapshot` — a point-in-time reading of every metric, and the unit
 ///    of export: Prometheus text exposition (`write_prometheus_file`) and
 ///    an append-only flat-JSON line (`append_jsonl_file`, the stream
@@ -269,6 +271,40 @@ class Registry {
   std::map<std::string, Histogram, std::less<>> histograms_;
 };
 
+/// The process-wide profile registry: the runner's `ProfileScope` timers
+/// and run counters (`core.run_coloring.*`, `trace.overhead.*`), which
+/// `BENCH_<name>.json` exports as `profile.*`.  Kept apart from
+/// `Registry::global()`, which the `--telemetry-*` flags clear and
+/// stream.
+[[nodiscard]] Registry& profile_registry();
+
+/// RAII wall-clock timer: on destruction adds the elapsed nanoseconds to
+/// `<name>.ns` and one call to `<name>.calls` in `registry`.
+class ProfileScope {
+ public:
+  explicit ProfileScope(std::string_view name,
+                        Registry& registry = profile_registry())
+      : name_(name),
+        registry_(registry),
+        start_(std::chrono::steady_clock::now()) {}
+
+  ProfileScope(const ProfileScope&) = delete;
+  ProfileScope& operator=(const ProfileScope&) = delete;
+
+  ~ProfileScope() {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start_)
+                        .count();
+    registry_.counter(name_ + ".ns").add(static_cast<std::uint64_t>(ns));
+    registry_.counter(name_ + ".calls").add(1);
+  }
+
+ private:
+  std::string name_;
+  Registry& registry_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 // ---------------------------------------------------------------------------
 // Export
 
@@ -298,17 +334,14 @@ bool append_jsonl_file(const std::string& path, const Snapshot& snap);
 // Snapshotter
 
 struct SnapshotterOptions {
-  /// Append-only flat-JSON time series (`urn_top` tails this).  Empty =
-  /// no JSONL export.
+  /// Flat-JSON time series, truncated at start and then appended to (one
+  /// run = one stream; `urn_top` tails it).  Empty = no JSONL export.
   std::string jsonl_path;
   /// Prometheus text exposition, atomically rewritten per snapshot (point
   /// a file-based scrape or node_exporter textfile collector at it).
   std::string prom_path;
   /// Sampling period.
   std::uint64_t interval_ms = 1000;
-  /// Truncate an existing JSONL file instead of appending (default on:
-  /// one run = one stream).
-  bool truncate = true;
   /// Optional in-process observer, called on the snapshotter thread after
   /// each export (progress meters; keep it cheap).
   std::function<void(const Snapshot&)> on_snapshot;

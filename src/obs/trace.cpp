@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <fstream>
-#include <istream>
 #include <map>
 
 #include "obs/fig2.hpp"
 
 namespace urn::obs {
 
-ParsedLog read_jsonl(std::istream& is) {
-  ParsedLog out;
+ParsedLogFile read_jsonl_file(const std::string& path) {
+  ParsedLogFile out;
+  std::ifstream is(path);
+  if (!is) return out;
+  out.ok = true;
   std::string line;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
@@ -23,15 +25,6 @@ ParsedLog read_jsonl(std::istream& is) {
       ++out.bad_lines;
     }
   }
-  return out;
-}
-
-ParsedLogFile read_jsonl_file(const std::string& path) {
-  ParsedLogFile out;
-  std::ifstream is(path);
-  if (!is) return out;
-  static_cast<ParsedLog&>(out) = read_jsonl(is);
-  out.ok = true;
   return out;
 }
 

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -26,9 +25,10 @@
 
 namespace urn::obs {
 
-/// Result of parsing a JSONL stream (tolerant: bad lines are counted,
-/// not fatal).
-struct ParsedLog {
+/// Result of parsing a JSONL file (tolerant: bad lines are counted, not
+/// fatal).  `ok` is false if the file could not be opened.
+struct ParsedLogFile {
+  bool ok = false;
   std::vector<Event> events;
   std::size_t lines = 0;
   std::size_t bad_lines = 0;
@@ -39,13 +39,7 @@ struct ParsedLog {
   bool first_line_bad = false;
 };
 
-/// Parse every line of `is` with `parse_jsonl_line`.
-[[nodiscard]] ParsedLog read_jsonl(std::istream& is);
-
-/// Parse a JSONL file.  `ok` is false if the file could not be opened.
-struct ParsedLogFile : ParsedLog {
-  bool ok = false;
-};
+/// Parse every line of the file at `path` with `parse_jsonl_line`.
 [[nodiscard]] ParsedLogFile read_jsonl_file(const std::string& path);
 
 /// One node's condensed history.

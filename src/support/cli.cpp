@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -186,6 +187,15 @@ std::string CliFlags::usage(const std::string& program) const {
        << "      " << f.help << '\n';
   }
   return os.str();
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
 
 }  // namespace urn

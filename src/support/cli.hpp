@@ -61,4 +61,10 @@ class CliFlags {
   std::string error_;
 };
 
+/// A tool's `main`: returns `body(argc, argv)`, except that a
+/// `urn::CheckError` escaping it (a reader or library precondition
+/// refusing the input) becomes one `error:` line on stderr and exit
+/// status 2.
+int run_main(int argc, char** argv, int (*body)(int, char**));
+
 }  // namespace urn

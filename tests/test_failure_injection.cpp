@@ -9,6 +9,8 @@
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sink.hpp"
 #include "radio/engine.hpp"
 #include "support/rng.hpp"
 
@@ -167,17 +169,19 @@ TEST(ProtocolUnderFading, DropsAreCountedAndTracedConsistently) {
   medium.drop_probability = 0.3;
   const auto ws = WakeSchedule::synchronous(net.graph.num_nodes());
 
+  obs::MemorySink memory;
   core::TraceOptions trace;
-  trace.metrics = true;
-  trace.metrics_window = 64;
+  trace.memory = &memory;
   const auto run =
       core::run_coloring_traced(net.graph, p, ws, 21, trace, 0, medium);
   ASSERT_TRUE(run.all_decided);
   EXPECT_GT(run.medium.dropped, 0u);
-  ASSERT_TRUE(run.series.has_value());
+  obs::MetricsSink metrics(/*window=*/64);
+  for (const obs::Event& e : memory.events()) metrics.record(e);
+  const obs::TimeSeries series = metrics.finish(run.medium.slots_run);
   std::uint64_t drop_events = 0;
   std::uint64_t deliveries = 0;
-  for (const auto& row : run.series->rows()) {
+  for (const auto& row : series.rows()) {
     drop_events += row.drops;
     deliveries += row.deliveries;
   }

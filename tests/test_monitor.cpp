@@ -15,6 +15,7 @@
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
 #include "obs/ledger.hpp"
+#include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
 #include "obs/regress.hpp"
 #include "radio/wakeup.hpp"
@@ -257,10 +258,10 @@ TEST(LeaderElectionTraced, BitIdenticalToPlainAndMonitored) {
   const auto ws = radio::WakeSchedule::uniform(net.graph.num_nodes(),
                                                2 * p.threshold(), wrng);
   const auto plain = core::run_leader_election(net.graph, p, ws, 31);
+  obs::MemorySink memory;
   core::TraceOptions trace;
   trace.monitor = true;
-  trace.metrics = true;
-  trace.metrics_window = 64;
+  trace.memory = &memory;
   const auto traced =
       core::run_leader_election_traced(net.graph, p, ws, 31, trace);
   EXPECT_EQ(plain.leaders, traced.leaders);
@@ -268,8 +269,9 @@ TEST(LeaderElectionTraced, BitIdenticalToPlainAndMonitored) {
   EXPECT_EQ(plain.cover_latency, traced.cover_latency);
   EXPECT_EQ(plain.medium.slots_run, traced.medium.slots_run);
   EXPECT_EQ(plain.medium.transmissions, traced.medium.transmissions);
-  ASSERT_TRUE(traced.series.has_value());
-  EXPECT_GT(traced.series->size(), 0u);
+  obs::MetricsSink metrics(/*window=*/64);
+  for (const obs::Event& e : memory.events()) metrics.record(e);
+  EXPECT_GT(metrics.finish(traced.medium.slots_run).size(), 0u);
   ASSERT_TRUE(traced.monitor.has_value());
   EXPECT_GT(traced.monitor->events_seen, 0u);
 }

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem: event serialization, sinks,
 // per-window metrics, the trace analyzer (Fig. 2 legality), the traced
-// runner, and the profiling registry.
+// runner, and the profile registry.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +16,11 @@
 #include "graph/generators.hpp"
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/sink.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "radio/engine.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 
 namespace urn::obs {
@@ -143,28 +144,6 @@ TEST(Sinks, MemorySinkStoresInOrder) {
   EXPECT_EQ(sink.events()[1].slot, 2);
 }
 
-TEST(Sinks, RingSinkKeepsLastEventsAfterWraparound) {
-  RingSink ring(4);
-  for (Slot s = 0; s < 10; ++s) ring.record(Event::collision(s, 0));
-  EXPECT_EQ(ring.recorded(), 10u);
-  EXPECT_EQ(ring.size(), 4u);
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].slot, static_cast<Slot>(6 + i)) << i;  // oldest first
-  }
-}
-
-TEST(Sinks, RingSinkBelowCapacityKeepsEverything) {
-  RingSink ring(8);
-  for (Slot s = 0; s < 3; ++s) ring.record(Event::collision(s, 0));
-  EXPECT_EQ(ring.recorded(), 3u);
-  const auto snap = ring.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap.front().slot, 0);
-  EXPECT_EQ(snap.back().slot, 2);
-}
-
 TEST(Sinks, JsonlSinkWritesParseableFile) {
   const std::string path = ::testing::TempDir() + "obs_jsonl_sink.jsonl";
   {
@@ -245,15 +224,12 @@ TEST(Metrics, CsvHasHeaderAndOneLinePerRow) {
   EXPECT_EQ(lines, 1u + series.size());
 }
 
-TEST(Metrics, JsonExportIsWellFormedEnough) {
-  MetricsSink sink(/*window=*/8);
-  sink.record(Event::wake(1, 0));
-  const TimeSeries series = sink.finish(8);
-  std::ostringstream os;
-  series.write_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"window\""), std::string::npos);
-  EXPECT_NE(json.find("\"rows\""), std::string::npos);
+TEST(Metrics, RefusesSlotsItCannotWindow) {
+  MetricsSink sink(/*window=*/4);
+  EXPECT_THROW(sink.record(Event::wake(-1, 0)), CheckError);
+  const auto past = static_cast<Slot>(MetricsSink::kMaxWindows) * 4;
+  EXPECT_THROW(sink.record(Event::wake(past, 0)), CheckError);
+  EXPECT_THROW((void)sink.finish(past + 1), CheckError);
 }
 
 // ---------------------------- trace analyzer ------------------------------
@@ -410,7 +386,7 @@ TEST(Fig2Validator, RejectsDecisionColorMismatch) {
 
 // ----------------------------- traced runner ------------------------------
 
-TEST(TracedRunner, ProducesSeriesAndLogAndMatchesUntracedRun) {
+TEST(TracedRunner, ProducesLogWhoseSeriesMatchesTheRun) {
   Rng rng(77);
   const auto net = graph::random_udg(50, 5.0, 1.4, rng);
   const auto delta = std::max(2u, net.graph.max_closed_degree());
@@ -420,8 +396,6 @@ TEST(TracedRunner, ProducesSeriesAndLogAndMatchesUntracedRun) {
 
   const std::string path = ::testing::TempDir() + "obs_traced_run.jsonl";
   core::TraceOptions trace;
-  trace.metrics = true;
-  trace.metrics_window = 32;
   trace.events_jsonl = path;
 
   const auto plain = core::run_coloring(net.graph, params, ws, 9);
@@ -436,9 +410,20 @@ TEST(TracedRunner, ProducesSeriesAndLogAndMatchesUntracedRun) {
   EXPECT_EQ(traced.medium.transmissions, plain.medium.transmissions);
   EXPECT_EQ(traced.medium.collisions, plain.medium.collisions);
 
-  // The series covers the whole run and sums to the population.
-  ASSERT_TRUE(traced.series.has_value());
-  const TimeSeries& series = *traced.series;
+  // The JSONL log parses back and is a legal Fig. 2 execution.
+  EXPECT_GT(traced.events_recorded, 0u);
+  const ParsedLogFile log = read_jsonl_file(path);
+  ASSERT_TRUE(log.ok);
+  EXPECT_EQ(log.bad_lines, 0u);
+  EXPECT_EQ(log.events.size(), traced.events_recorded);
+  EXPECT_TRUE(validate_fig2(log.events, params.kappa2).ok());
+  std::remove(path.c_str());
+
+  // The series replayed from the log covers the whole run and sums to
+  // the population.
+  MetricsSink metrics(/*window=*/32);
+  for (const Event& e : log.events) metrics.record(e);
+  const TimeSeries series = metrics.finish(traced.medium.slots_run);
   EXPECT_EQ(series.window(), 32);
   ASSERT_GT(series.size(), 0u);
   std::uint64_t wakes = 0, decisions = 0, collisions = 0;
@@ -452,93 +437,51 @@ TEST(TracedRunner, ProducesSeriesAndLogAndMatchesUntracedRun) {
   EXPECT_EQ(collisions, traced.medium.collisions);
   EXPECT_EQ(series.rows().back().decided_end, 50u);
   EXPECT_EQ(series.rows().back().active_end(), 0u);
-
-  // The JSONL log parses back and is a legal Fig. 2 execution.
-  EXPECT_GT(traced.events_recorded, 0u);
-  const ParsedLogFile log = read_jsonl_file(path);
-  ASSERT_TRUE(log.ok);
-  EXPECT_EQ(log.bad_lines, 0u);
-  EXPECT_EQ(log.events.size(), traced.events_recorded);
-  EXPECT_TRUE(validate_fig2(log.events, params.kappa2).ok());
-  std::remove(path.c_str());
 }
 
-TEST(TracedRunner, MetricsOnlyNeedsNoFile) {
+TEST(TracedRunner, MemoryCaptureNeedsNoFile) {
   const graph::Graph g = graph::empty_graph(2);
   const core::Params params = core::Params::practical(16, 2, 2, 3);
+  MemorySink memory;
   core::TraceOptions trace;
-  trace.metrics = true;
-  trace.metrics_window = 8;
+  trace.memory = &memory;
   const auto run = core::run_coloring_traced(
       g, params, radio::WakeSchedule::synchronous(2), 1, trace);
   ASSERT_TRUE(run.all_decided);
-  ASSERT_TRUE(run.series.has_value());
-  EXPECT_EQ(run.events_recorded, 0u);  // no JSONL sink attached
-  EXPECT_EQ(run.series->rows().back().decided_end, 2u);
+  EXPECT_EQ(run.events_recorded, 0u);  // no log sink attached
+  MetricsSink metrics(/*window=*/8);
+  for (const Event& e : memory.events()) metrics.record(e);
+  EXPECT_EQ(metrics.finish(run.medium.slots_run).rows().back().decided_end,
+            2u);
 }
 
 // ------------------------------- profiling --------------------------------
 
-TEST(Profiling, CountersAccumulateAndSnapshotSorted) {
-  CounterRegistry reg;
-  reg.add("b.two", 2);
-  reg.add("a.one", 1);
-  reg.add("b.two", 3);
-  EXPECT_EQ(reg.value("b.two"), 5u);
-  EXPECT_EQ(reg.value("a.one"), 1u);
-  EXPECT_EQ(reg.value("absent"), 0u);
-  const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].first, "a.one");
-  EXPECT_EQ(snap[1].first, "b.two");
-  reg.clear();
-  EXPECT_TRUE(reg.empty());
-}
-
-TEST(Profiling, HandlesAreLockFreeCellsIntoTheRegistry) {
-  CounterRegistry reg;
-  CounterCell cell = reg.handle("hot.path");
-  EXPECT_TRUE(cell.attached());
-  cell.add(3);
-  cell.add(4);
-  EXPECT_EQ(cell.value(), 7u);
-  EXPECT_EQ(reg.value("hot.path"), 7u);
-  // `add` and a cached handle hit the same cell.
-  reg.add("hot.path", 1);
-  EXPECT_EQ(cell.value(), 8u);
-  // Handles stay valid across later insertions (node-based map).
-  for (int i = 0; i < 100; ++i) {
-    (void)reg.handle("other." + std::to_string(i));
-  }
-  cell.add(1);
-  EXPECT_EQ(reg.value("hot.path"), 9u);
-}
-
-TEST(Profiling, DetachedHandleDiscardsAdds) {
-  CounterCell cell;
-  EXPECT_FALSE(cell.attached());
-  cell.add(5);  // no crash, no effect
-  EXPECT_EQ(cell.value(), 0u);
-}
-
 TEST(Profiling, ScopeRecordsDurationAndCallCount) {
-  CounterRegistry reg;
+  telemetry::Registry reg;
   for (int i = 0; i < 3; ++i) {
-    ProfileScope scope("work", &reg);
-    EXPECT_GE(scope.elapsed_ns(), 0u);
+    telemetry::ProfileScope scope("work", reg);
   }
-  EXPECT_EQ(reg.value("work.calls"), 3u);
-  EXPECT_GT(reg.value("work.ns"), 0u);
+  const telemetry::Snapshot snap = reg.snapshot();
+  ASSERT_NE(snap.find_counter("work.calls"), nullptr);
+  EXPECT_EQ(*snap.find_counter("work.calls"), 3u);
+  ASSERT_NE(snap.find_counter("work.ns"), nullptr);
+  EXPECT_GT(*snap.find_counter("work.ns"), 0u);
 }
 
-TEST(Profiling, RunnerFeedsTheGlobalRegistry) {
-  auto& reg = CounterRegistry::global();
-  const std::uint64_t before = reg.value("core.run_coloring.runs");
+TEST(Profiling, RunnerFeedsTheProfileRegistry) {
+  auto& reg = telemetry::profile_registry();
+  const std::uint64_t before = reg.counter("core.run_coloring.runs").value();
   const graph::Graph g = graph::empty_graph(1);
   const core::Params params = core::Params::practical(16, 2, 2, 3);
   (void)core::run_coloring(g, params, radio::WakeSchedule::synchronous(1), 1);
-  EXPECT_EQ(reg.value("core.run_coloring.runs"), before + 1);
-  EXPECT_GT(reg.value("core.run_coloring.slots"), 0u);
+  EXPECT_EQ(reg.counter("core.run_coloring.runs").value(), before + 1);
+  EXPECT_GT(reg.counter("core.run_coloring.slots").value(), 0u);
+  EXPECT_EQ(reg.counter("core.run_coloring.calls").value(), before + 1);
+  // Profile counters stay out of the telemetry stream's registry.
+  EXPECT_EQ(telemetry::Registry::global().snapshot().find_counter(
+                "core.run_coloring.runs"),
+            nullptr);
 }
 
 }  // namespace

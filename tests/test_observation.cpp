@@ -66,7 +66,6 @@ struct Row {
   bool bin_ring = false;
   bool jsonl = false;
   bool monitor = false;
-  bool metrics = false;
   bool postmortem = false;
 };
 
@@ -85,14 +84,13 @@ std::vector<Row> rows() {
   add("bin_ring", [](Row& r) { r.bin_ring = true; });
   add("jsonl", [](Row& r) { r.jsonl = true; });
   add("monitor", [](Row& r) { r.monitor = true; });
-  add("metrics", [](Row& r) { r.metrics = true; });
   add("postmortem", [](Row& r) { r.postmortem = true; });
   add("telemetry_spans", [](Row& r) { r.telemetry = r.spans = true; });
   add("telemetry_postmortem",
       [](Row& r) { r.telemetry = r.postmortem = true; });
   add("all", [](Row& r) {
     r.telemetry = r.spans = r.memory = r.bin_ring = r.jsonl = r.monitor =
-        r.metrics = r.postmortem = true;
+        r.postmortem = true;
   });
   return out;
 }
@@ -120,10 +118,6 @@ struct Capture {
     }
     if (row.jsonl) trace.events_jsonl = base + ".jsonl";
     trace.monitor = row.monitor;
-    if (row.metrics) {
-      trace.metrics = true;
-      trace.metrics_window = 32;
-    }
     if (row.postmortem) {
       std::filesystem::remove_all(base + "_pm");
       trace.postmortem.dir = base + "_pm";
@@ -156,7 +150,7 @@ std::uintmax_t file_size_or_zero(const std::string& path) {
 /// the run's `events_recorded`, `slots` its slot count.
 void expect_artifacts(const Row& row, const Capture& c, Entry entry,
                       std::uint64_t events, radio::Slot slots,
-                      bool has_series, bool has_monitor) {
+                      bool has_monitor) {
   if (row.telemetry) {
     const obs::telemetry::Snapshot snap = c.registry.snapshot();
     const std::uint64_t* engine_slots = snap.find_counter("engine.slots");
@@ -187,7 +181,6 @@ void expect_artifacts(const Row& row, const Capture& c, Entry entry,
     EXPECT_GT(events, 0u);
     EXPECT_GT(file_size_or_zero(c.trace.events_jsonl), 0u);
   }
-  EXPECT_EQ(has_series, row.metrics);
   EXPECT_EQ(has_monitor, row.monitor);
   // The leader-election entry points take no postmortem bundle.
   if (row.postmortem && entry == Entry::kColoring) {
@@ -223,11 +216,7 @@ TEST_P(ObservationGrid, MatchesPlainRunAndFillsEveryArtifact) {
     EXPECT_EQ(got.num_leaders, plain.num_leaders);
     expect_same_stats(got.medium, plain.medium);
     expect_artifacts(row, c, entry, got.events_recorded,
-                     got.medium.slots_run, got.series.has_value(),
-                     got.monitor.has_value());
-    if (row.metrics) {
-      EXPECT_FALSE(got.series->empty());
-    }
+                     got.medium.slots_run, got.monitor.has_value());
     if (row.monitor) {
       EXPECT_GT(got.monitor->events_seen, 0u);
     }
@@ -243,11 +232,7 @@ TEST_P(ObservationGrid, MatchesPlainRunAndFillsEveryArtifact) {
     EXPECT_EQ(got.all_covered, plain.all_covered);
     expect_same_stats(got.medium, plain.medium);
     expect_artifacts(row, c, entry, got.events_recorded,
-                     got.medium.slots_run, got.series.has_value(),
-                     got.monitor.has_value());
-    if (row.metrics) {
-      EXPECT_FALSE(got.series->empty());
-    }
+                     got.medium.slots_run, got.monitor.has_value());
     if (row.monitor) {
       EXPECT_GT(got.monitor->events_seen, 0u);
     }

@@ -15,6 +15,7 @@
 #include "core/protocol.hpp"
 #include "graph/generators.hpp"
 #include "obs/postmortem.hpp"
+#include "obs/sink.hpp"
 #include "radio/engine.hpp"
 #include "radio/misaligned_engine.hpp"
 #include "reference_engine.hpp"
@@ -309,9 +310,9 @@ TEST(EngineDiffBatch, TracedScalarLoopMatchesUntracedBatchLoop) {
     }
     radio::Engine<core::ColoringNode> batch(g, schedule, std::move(a_nodes),
                                             seed, medium);
-    obs::RingSink ring(1 << 10);
-    radio::Engine<core::ColoringNode, obs::RingSink> scalar(
-        g, schedule, std::move(b_nodes), seed, medium, &ring);
+    obs::MemorySink events;
+    radio::Engine<core::ColoringNode, obs::MemorySink> scalar(
+        g, schedule, std::move(b_nodes), seed, medium, &events);
 
     const radio::Slot budget = 4 * params.threshold() + 2000;
     expect_stats_equal(batch.run(budget), scalar.run(budget));

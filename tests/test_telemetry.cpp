@@ -36,7 +36,6 @@
 #include "core/runner.hpp"
 #include "exec/pool.hpp"
 #include "graph/generators.hpp"
-#include "obs/profile.hpp"
 #include "obs/regress.hpp"
 #include "obs/telemetry.hpp"
 #include "radio/misaligned_engine.hpp"
@@ -570,15 +569,15 @@ TEST(TelemetryTrialLoop, TelemetryNeverPerturbsAggregates) {
 
 // ----------------------------------- shared-registry concurrency (TSan) --
 
-// Hammer one telemetry Registry and one obs::CounterRegistry from trial
-// pool workers simultaneously — the run most likely to surface a data
-// race under `URN_SANITIZE=thread` (the CI tsan leg runs this label).
+// Hammer one telemetry Registry directly and a second one through
+// ProfileScope from trial pool workers simultaneously — the run most
+// likely to surface a data race under `URN_SANITIZE=thread` (the CI tsan
+// leg runs this label).
 TEST(TelemetryThreading, PoolWorkersHammerSharedRegistries) {
   Registry reg;
-  CounterRegistry prof;
+  Registry prof;
   Counter& telemetry_hits = reg.counter("hammer.hits");
   Histogram& hist = reg.histogram("hammer.values");
-  CounterCell prof_hits = prof.handle("prof.hits");
   constexpr std::size_t kChunks = 64;
   constexpr std::uint64_t kPerChunk = 500;
   exec::TrialPool pool(8);
@@ -586,20 +585,20 @@ TEST(TelemetryThreading, PoolWorkersHammerSharedRegistries) {
     for (std::uint64_t i = 0; i < kPerChunk; ++i) {
       telemetry_hits.add(1);
       hist.record(chunk * kPerChunk + i);
-      prof_hits.add(1);
       // Lookup-or-create races on the registry maps as well.
       reg.counter("hammer.chunk" + std::to_string(chunk % 4)).add(1);
-      prof.add("prof.chunk" + std::to_string(chunk % 4), 1);
+      const ProfileScope scope("prof.chunk" + std::to_string(chunk % 4),
+                               prof);
     }
   });
   EXPECT_EQ(telemetry_hits.value(), kChunks * kPerChunk);
   EXPECT_EQ(hist.snapshot().count, kChunks * kPerChunk);
-  EXPECT_EQ(prof.value("prof.hits"), kChunks * kPerChunk);
   std::uint64_t spread = 0;
   std::uint64_t prof_spread = 0;
   for (int i = 0; i < 4; ++i) {
     spread += reg.counter("hammer.chunk" + std::to_string(i)).value();
-    prof_spread += prof.value("prof.chunk" + std::to_string(i));
+    prof_spread +=
+        prof.counter("prof.chunk" + std::to_string(i) + ".calls").value();
   }
   EXPECT_EQ(spread, kChunks * kPerChunk);
   EXPECT_EQ(prof_spread, kChunks * kPerChunk);

@@ -71,9 +71,7 @@ std::vector<fs::path> collect_bench_files(const fs::path& root) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int bench_diff_main(int argc, char** argv) {
   using namespace urn;
 
   CliFlags flags;
@@ -180,4 +178,10 @@ int main(int argc, char** argv) {
   if (total_regressions != 0) return 1;
   std::printf("OK: fresh results match the baseline\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return urn::run_main(argc, argv, bench_diff_main);
 }

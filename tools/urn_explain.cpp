@@ -203,9 +203,7 @@ int cmd_diff(const std::vector<std::string>& args,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int explain_main(int argc, char** argv) {
   if (argc < 2) return usage_error("missing subcommand");
   const std::string cmd = argv[1];
 
@@ -259,4 +257,10 @@ int main(int argc, char** argv) {
     return cmd_diff(args, config, json, options);
   }
   return usage_error(("unknown subcommand '" + cmd + "'").c_str());
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return urn::run_main(argc, argv, explain_main);
 }

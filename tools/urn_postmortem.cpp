@@ -250,9 +250,7 @@ int resume(const core::LoadedCheckpoint& ck) {
   return run.check.valid() ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int postmortem_main(int argc, char** argv) {
   CliFlags flags;
   flags.add_string("in", "",
                    "postmortem bundle directory or checkpoint.urnc file");
@@ -300,4 +298,10 @@ int main(int argc, char** argv) {
   return inspect(ck, bundle_dir, ckpt_path, flags.get_int("node"),
                  flags.get_int("around"), flags.get_int("window"),
                  flags.get_int("tail"), flags.get_int("max-nodes"));
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return urn::run_main(argc, argv, postmortem_main);
 }

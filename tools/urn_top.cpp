@@ -202,9 +202,7 @@ void render(const std::string& path, const Tail& tail, bool follow) {
   std::fflush(stdout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int top_main(int argc, char** argv) {
   using namespace urn;
 
   CliFlags flags;
@@ -266,4 +264,10 @@ int main(int argc, char** argv) {
     }
     std::this_thread::sleep_for(interval);
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return urn::run_main(argc, argv, top_main);
 }

@@ -14,9 +14,14 @@
 ///   urn_trace --log run.jsonl --latency-budget 40000   # Thm 3 replay
 ///   urn_trace --log run.bin --export chrome:run.json   # open in Perfetto
 ///
+/// --metrics-out is the one way to get the per-window series (record the
+/// run with --trace or --trace-bin first).  It spans slot 0 to the log's
+/// last event, so a capped run's empty tail windows are not padded.
+///
 /// Exit status: 0 when the log passes every enabled check, 1 when
 /// violations were found, 2 on usage / I/O errors (unreadable log,
-/// malformed header / first line, unknown export format).
+/// malformed header / first line, unknown export format, a log that
+/// --metrics-out cannot window).
 
 #include <algorithm>
 #include <cstdio>
@@ -30,7 +35,9 @@
 #include "obs/trace.hpp"
 #include "support/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int trace_main(int argc, char** argv) {
   using namespace urn;
 
   CliFlags flags;
@@ -95,9 +102,11 @@ int main(int argc, char** argv) {
 
   // ---- per-kind totals ----------------------------------------------------
   std::size_t by_kind[obs::kNumEventKinds] = {};
+  obs::Slot first_slot = 0;
   obs::Slot last_slot = 0;
   for (const obs::Event& e : log.events) {
     ++by_kind[static_cast<std::size_t>(e.kind)];
+    first_slot = std::min(first_slot, e.slot);
     last_slot = std::max(last_slot, e.slot);
   }
   std::printf("slots [0, %lld]:", static_cast<long long>(last_slot));
@@ -151,9 +160,26 @@ int main(int argc, char** argv) {
   // ---- optional metrics re-derivation ------------------------------------
   const std::string metrics_out = flags.get_string("metrics-out");
   if (!metrics_out.empty()) {
-    obs::MetricsSink metrics(flags.get_int("window"));
+    const std::int64_t window = flags.get_int("window");
+    std::string bad;
+    if (window < 1) {
+      bad = "--window must be at least 1";
+    } else if (first_slot < 0) {
+      bad = "negative slot " + std::to_string(first_slot) + " in the log";
+    } else if (static_cast<std::size_t>(last_slot / window) >=
+               obs::MetricsSink::kMaxWindows) {
+      bad = "slot " + std::to_string(last_slot) + " is past " +
+            std::to_string(obs::MetricsSink::kMaxWindows) +
+            " windows; raise --window";
+    }
+    if (!bad.empty()) {
+      std::fprintf(stderr, "error: --metrics-out: %s\n", bad.c_str());
+      return 2;
+    }
+    obs::MetricsSink metrics(window);
     for (const obs::Event& e : log.events) metrics.record(e);
-    const obs::TimeSeries series = metrics.finish(last_slot + 1);
+    // No trailing padding: the series ends with the last event's window.
+    const obs::TimeSeries series = metrics.finish(0);
     if (!series.write_csv_file(metrics_out)) {
       std::fprintf(stderr, "error: cannot write %s\n", metrics_out.c_str());
       return 2;
@@ -226,4 +252,10 @@ int main(int argc, char** argv) {
   if (!report.ok() || monitor_violations != 0) return 1;
   std::printf("OK: every node's trajectory is a legal Fig. 2 walk\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return urn::run_main(argc, argv, trace_main);
 }
