@@ -50,7 +50,10 @@ int main(int argc, char** argv) {
                    analysis::Table::num(agg.mean_latency.mean(), 0),
                    analysis::Table::num(agg.max_latency.max(), 0)});
     bench::ledger_from_aggregate(ledger, agg);
-    const std::string prefix = "n" + std::to_string(n);
+    // Appending (rather than "n" + to_string(n)) sidesteps a GCC 12
+    // -Wrestrict false positive in std::operator+(const char*, string&&).
+    std::string prefix = "n";
+    prefix += std::to_string(n);
     summary.set(prefix + ".valid_fraction", agg.valid_fraction());
     summary.set(prefix + ".completed_fraction", agg.completed_fraction());
     summary.set(prefix + ".max_color", agg.max_color.max());

@@ -53,11 +53,46 @@ void BM_Chi(benchmark::State& state) {
   for (std::int64_t i = 0; i < state.range(0); ++i) {
     counters.push_back(rng.range(-500, 500));
   }
+  std::vector<std::int64_t> scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::chi(counters, 25));
+    benchmark::DoNotOptimize(core::chi(counters, 25, scratch));
   }
 }
 BENCHMARK(BM_Chi)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_ReceiveCompete(benchmark::State& state) {
+  // The receive path of a counting node with a full P_v: each iteration
+  // delivers one competitor report from the next neighbour with a counter
+  // inside the critical range, so it pays the competitor store's lookup
+  // and update plus the χ reset over range(0) entries.
+  const auto degree = static_cast<std::uint32_t>(state.range(0));
+  const graph::Graph g = graph::star_graph(degree + 1);
+  const auto params = core::Params::practical(100000, degree + 1, 5, 12);
+  core::ColoringHot hot(g);
+  core::ColoringNode node(&params, 0);
+  node.attach_hot(&hot);
+  Rng rng(5);
+  radio::SlotContext ctx;
+  ctx.id = 0;
+  ctx.rng = &rng;
+  node.on_wake(ctx);
+  while (hot.klass[0] != core::ColoringHot::kCount) {
+    (void)node.on_slot(ctx);
+    ++ctx.now;
+  }
+  for (graph::NodeId w = 1; w <= degree; ++w) {  // fill P_v
+    node.on_receive(ctx, radio::make_compete(w, 0, -100000 * static_cast<std::int64_t>(w)));
+  }
+  graph::NodeId next = 1;
+  for (auto _ : state) {
+    node.on_receive(ctx, radio::make_compete(next, 0, node.counter()));
+    next = next == degree ? 1 : next + 1;
+  }
+  if (node.competitors() != degree) state.SkipWithError("P_v not full");
+  benchmark::DoNotOptimize(node.counter());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ReceiveCompete)->Arg(16)->Arg(35)->Arg(100);
 
 void BM_ProtocolSlots(benchmark::State& state) {
   // Whole-protocol throughput in node-slots per second.
@@ -195,7 +230,8 @@ BENCHMARK(BM_AwakeScanAoS)->Arg(2048)->Arg(100000);
 void BM_AwakeScanSoA(benchmark::State& state) {
   // Same scan over the engine-owned hot block: one byte per node.
   const auto n = static_cast<std::size_t>(state.range(0));
-  core::ColoringHot hot(n);
+  const graph::Graph g = graph::empty_graph(n);
+  core::ColoringHot hot(g);
   for (std::size_t v = 0; v < n; ++v) {
     hot.klass[v] = v % 5 == 0 ? core::ColoringHot::kCount
                               : core::ColoringHot::kDecidedOther;

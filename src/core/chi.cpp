@@ -1,52 +1,40 @@
 #include "core/chi.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "support/check.hpp"
 
 namespace urn::core {
 
-std::int64_t chi(std::span<const std::int64_t> counters,
-                 std::int64_t critical_range) {
+std::int64_t chi_sorted(std::span<const std::int64_t> ascending,
+                        std::int64_t critical_range) {
   URN_CHECK(critical_range >= 0);
-
-  // Forbidden intervals [d − R, d + R], clipped to the region ≤ 0
-  // (values above 0 can never constrain χ ≤ 0).
-  struct Interval {
-    std::int64_t lo;
-    std::int64_t hi;
-  };
-  std::vector<Interval> forbidden;
-  forbidden.reserve(counters.size());
-  for (std::int64_t d : counters) {
-    const std::int64_t lo = d - critical_range;
-    const std::int64_t hi = d + critical_range;
-    if (lo > 0) continue;  // entirely above the feasible region
-    forbidden.push_back({lo, std::min<std::int64_t>(hi, 0)});
-  }
-  if (forbidden.empty()) return 0;
-
-  // Merge into disjoint intervals, then walk downward from 0.
-  std::sort(forbidden.begin(), forbidden.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  merged.push_back(forbidden.front());
-  for (std::size_t i = 1; i < forbidden.size(); ++i) {
-    if (forbidden[i].lo <= merged.back().hi + 1) {
-      merged.back().hi = std::max(merged.back().hi, forbidden[i].hi);
-    } else {
-      merged.push_back(forbidden[i]);
-    }
-  }
-
+  // Walk the forbidden intervals [d − R, d + R] from the highest down.
+  // All have width 2R, so both ends fall with d: when the candidate lands
+  // inside interval i it sits at or below the upper end of every interval
+  // already passed, and outside each of them, hence below their lower
+  // ends — so jumping to d_i − R − 1 clears every interval seen so far
+  // and skips only forbidden values.  The survivor is therefore the
+  // largest feasible x ≤ 0 (intervals above 0 never contain a candidate).
   std::int64_t candidate = 0;
-  for (auto it = merged.rbegin(); it != merged.rend(); ++it) {
-    if (candidate >= it->lo && candidate <= it->hi) {
-      candidate = it->lo - 1;
+  for (auto it = ascending.rbegin(); it != ascending.rend(); ++it) {
+    const std::int64_t lo = *it - critical_range;
+    if (candidate >= lo && candidate <= *it + critical_range) {
+      candidate = lo - 1;
     }
   }
   return candidate;
+}
+
+std::int64_t chi(std::span<const std::int64_t> counters,
+                 std::int64_t critical_range,
+                 std::vector<std::int64_t>& scratch) {
+  scratch.clear();
+  for (const std::int64_t d : counters) {
+    if (d <= critical_range) scratch.push_back(d);  // the rest never bind
+  }
+  std::sort(scratch.begin(), scratch.end());
+  return chi_sorted(scratch, critical_range);
 }
 
 }  // namespace urn::core

@@ -18,7 +18,6 @@ static_assert(static_cast<std::uint8_t>(Phase::kDecided) ==
               static_cast<std::uint8_t>(obs::PhaseCode::kDecided));
 
 void ColoringNode::on_wake(radio::SlotContext& ctx) {
-  URN_CHECK(params_ != nullptr);
   URN_CHECK(hot_ != nullptr);  // engines attach_hot before any callback
   URN_CHECK(id_ == ctx.id);
   enter_verify(0, ctx);  // upon waking up, a node is initially in A_0
@@ -28,7 +27,7 @@ void ColoringNode::enter_verify(std::int32_t color_index,
                                 const radio::SlotContext& ctx) {
   hot_->klass[id_] = ColoringHot::kPassive;
   color_index_ = color_index;
-  hot_->passive_remaining[id_] = passive_slots_;
+  hot_->passive_remaining[id_] = hot_->passive_slots;
   hot_->counter[id_] = 0;
   clear_competitors();  // P_v := ∅ (Alg. 1 l. 1)
   ++stats_.verify_states;
@@ -44,11 +43,20 @@ void ColoringNode::enter_decided(std::int32_t color_index,
   color_index_ = color_index;  // color_v := i (Alg. 3 l. 1)
   clear_competitors();
   if (color_index == 0) {
-    next_tc_ = 0;  // tc := 0, Q := ∅ (Alg. 3 l. 7–8)
-    queue_.clear();
-    serve_remaining_ = 0;
+    LeaderState& l = claim_leader_state();
+    l.next_tc = 0;  // tc := 0, Q := ∅ (Alg. 3 l. 7–8)
+    l.queue.clear();
+    l.serve_remaining = 0;
   }
   record_transition(ctx.now, ctx);
+}
+
+LeaderState& ColoringNode::claim_leader_state() {
+  if (leader_state_ == kNoLeaderState) {  // first C₀ decision
+    leader_state_ = static_cast<std::uint32_t>(hot_->leaders.size());
+    hot_->leaders.emplace_back();
+  }
+  return leader_state();
 }
 
 void ColoringNode::record_transition(Slot slot,
@@ -58,9 +66,8 @@ void ColoringNode::record_transition(Slot slot,
         slot, id_, static_cast<std::uint8_t>(phase()), color_index_));
   }
   if (transitions_.size() >= kMaxTransitions) return;
-  // A well-behaved run needs ≤ κ₂ + 3 entries; one up-front reservation
-  // avoids the doubling reallocations on every node's log.
-  if (transitions_.empty()) transitions_.reserve(8);
+  // No up-front reservation: most nodes of a capped run record a single
+  // transition, and the log's growth is amortized over the rest.
   transitions_.push_back({slot, phase(), color_index_});
 }
 
@@ -89,7 +96,7 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
           msg.color_index == color_index_) {
         const bool active = hot_->klass[id_] == ColoringHot::kCount;
         std::int64_t& counter = hot_->counter[id_];
-        switch (params_->reset_policy) {
+        switch (hot_->params->reset_policy) {
           case ResetPolicy::kCriticalRange: {
             store_competitor(msg.sender, msg.counter, ctx.now);
             if (active) {
@@ -129,7 +136,7 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
           msg.target == id_) {
         tc_ = msg.tc;
         ++stats_.assignments_heard;
-        enter_verify(params_->first_verify_color(tc_), ctx);
+        enter_verify(hot_->params->first_verify_color(tc_), ctx);
       }
       return;
     }
@@ -139,15 +146,16 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
       // Leader: enqueue new requests addressed to us (Alg. 3 l. 10–12).
       if (msg.type != radio::MsgType::kRequest || msg.target != id_) return;
       const NodeId requester = msg.sender;
-      if (queue_.contains(requester)) return;  // already queued
+      LeaderState& l = leader_state();
+      if (l.queue.contains(requester)) return;  // already queued
       const bool was_served =
-          std::find(served_.begin(), served_.end(), requester) !=
-          served_.end();
+          std::find(l.served.begin(), l.served.end(), requester) !=
+          l.served.end();
       if (was_served) {
         ++stats_.duplicate_serves;
-        if (params_->remember_served) return;  // extension: never re-serve
+        if (hot_->params->remember_served) return;  // extension: never re-serve
       }
-      queue_.push_back(requester);
+      l.queue.push_back(requester);
       return;
     }
   }
@@ -167,24 +175,23 @@ void ColoringNode::batch_cold_slot(NodeId v, Slot now, ColoringNode* nodes,
 
 void ColoringNode::store_competitor(NodeId who, std::int64_t value,
                                     Slot now) {
-  const NodeId* ids = comp_who_.begin();
-  const std::size_t n = comp_who_.size();
-  for (std::size_t i = 0; i < n; ++i) {
+  // Every matching competitor report delivered to a verifying node scans
+  // P_v for the sender — the hottest receive-path loop, ~10⁸ executions
+  // in a large run — so the scan walks contiguous 4-byte ids.
+  NodeId* ids = competitor_ids();
+  std::int64_t* keys = competitor_keys();
+  for (std::uint32_t i = 0; i < competitors_; ++i) {
     if (ids[i] == who) {
-      comp_value_[i] = value;
-      comp_stamp_[i] = now;
+      keys[i] = value - now;  // d_v(w) at slot t is keys[i] + t
       return;
     }
   }
-  comp_who_.push_back(who);
-  comp_value_.push_back(value);
-  comp_stamp_.push_back(now);
-}
-
-void ColoringNode::clear_competitors() {
-  comp_who_.clear();
-  comp_value_.clear();
-  comp_stamp_.clear();
+  // P_v ⊆ N(v): reports come from neighbours only, so deg(v) slots hold
+  // every distinct sender.
+  URN_CHECK(competitors_ < hot_->graph->degree(id_));
+  ids[competitors_] = who;
+  keys[competitors_] = value - now;
+  ++competitors_;
 }
 
 std::int64_t ColoringNode::chi_of_competitors(Slot now) const {
@@ -193,27 +200,34 @@ std::int64_t ColoringNode::chi_of_competitors(Slot now) const {
   // because experiment sweeps run one engine per worker thread.
   static thread_local std::vector<std::int64_t> aged;
   aged.clear();
-  aged.reserve(comp_who_.size());
-  for (std::size_t i = 0; i < comp_who_.size(); ++i) {
-    aged.push_back(comp_value_[i] + (now - comp_stamp_[i]));
+  const std::int64_t range = critical_range_now();
+  // Only counters d ≤ R can forbid a value ≤ 0, so the rest (typically
+  // the competitors well ahead of us) skip the sort.
+  const std::int64_t* keys = competitor_keys();
+  const std::int64_t max_key = range - now;
+  for (std::uint32_t i = 0; i < competitors_; ++i) {
+    if (keys[i] <= max_key) aged.push_back(keys[i] + now);
   }
-  return chi(aged, critical_range_now());
+  std::sort(aged.begin(), aged.end());
+  return chi_sorted(aged, range);
 }
 
 // ---- postmortem checkpointing ---------------------------------------------
 
 namespace {
-/// Sanity cap on per-node container counts read from a checkpoint: a
-/// node's competitors/queue/served lists are bounded by its neighborhood,
-/// so anything this large marks a corrupt file, not a big run.
+/// Sanity cap on a leader's queue/served counts read from a checkpoint:
+/// both are bounded by its neighborhood, so anything this large marks a
+/// corrupt file, not a big run.  (Competitor counts are checked against
+/// the node's actual degree.)
 constexpr std::uint32_t kMaxCheckpointList = 1u << 24;
 }  // namespace
 
 void ColoringNode::save_state(obs::postmortem::Writer& w) const {
-  // The URNC v1 layout predates the SoA hot block: it stores the
-  // (phase, active) pair, which the klass byte round-trips through
-  // losslessly (klass is a pure function of phase, active and color —
-  // see load_state), so checkpoints stay byte-compatible.
+  // The URNC v1 layout predates the hot block: it stores the (phase,
+  // active) pair, which the klass byte round-trips through losslessly
+  // (klass is a pure function of phase, active and color — see
+  // load_state), a (who, value, stamp) triple per competitor, and the
+  // leader service fields for every node.
   w.u8(static_cast<std::uint8_t>(phase()));
   w.boolean(hot_->klass[id_] == ColoringHot::kCount);
   w.u32(id_);
@@ -221,22 +235,29 @@ void ColoringNode::save_state(obs::postmortem::Writer& w) const {
   w.i32(tc_);
   w.i64(hot_->counter[id_]);
   w.i64(hot_->passive_remaining[id_]);
-  w.u32(static_cast<std::uint32_t>(comp_who_.size()));
-  for (std::size_t i = 0; i < comp_who_.size(); ++i) {
-    w.u32(comp_who_[i]);
-    w.i64(comp_value_[i]);
-    w.i64(comp_stamp_[i]);
+  w.u32(competitors_);
+  const NodeId* ids = competitor_ids();
+  const std::int64_t* keys = competitor_keys();
+  for (std::uint32_t i = 0; i < competitors_; ++i) {
+    w.u32(ids[i]);
+    w.i64(keys[i]);  // value − stamp, with the stamp normalised to 0
+    w.i64(0);
   }
   w.u32(leader_);
-  // RingQueue serialized front-to-back; push_back on load rebuilds the
-  // same FIFO order (buffer capacity is not observable state).
-  w.u32(static_cast<std::uint32_t>(queue_.size()));
-  for (std::size_t i = 0; i < queue_.size(); ++i) w.u32(queue_.at(i));
-  w.u32(static_cast<std::uint32_t>(served_.size()));
-  for (const NodeId v : served_) w.u32(v);
-  w.i32(next_tc_);
-  w.i64(serve_remaining_);
-  w.i32(serve_tc_);
+  // Non-leaders write the empty service state a fresh leader starts
+  // from.  The queue is serialized front-to-back; push_back on load
+  // rebuilds the same FIFO order (buffer capacity is not state).
+  static const LeaderState kIdle;
+  const LeaderState& l = leader_state_ == kNoLeaderState
+                             ? kIdle
+                             : hot_->leaders[leader_state_];
+  w.u32(static_cast<std::uint32_t>(l.queue.size()));
+  for (std::size_t i = 0; i < l.queue.size(); ++i) w.u32(l.queue.at(i));
+  w.u32(static_cast<std::uint32_t>(l.served.size()));
+  for (const NodeId v : l.served) w.u32(v);
+  w.i32(l.next_tc);
+  w.i64(l.serve_remaining);
+  w.i32(l.serve_tc);
   w.u32(stats_.resets);
   w.u32(stats_.verify_states);
   w.u32(stats_.assignments_heard);
@@ -273,30 +294,48 @@ bool ColoringNode::load_state(obs::postmortem::Reader& r) {
       break;
   }
 
+  // Competitors: each must be a distinct neighbour (P_v ⊆ N(v)).
   const std::uint32_t n_comp = r.u32();
-  if (!r.ok() || n_comp > kMaxCheckpointList) return false;
+  if (!r.ok() || n_comp > hot_->graph->degree(id_)) return false;
   clear_competitors();
+  NodeId* ids = competitor_ids();
+  std::int64_t* keys = competitor_keys();
   for (std::uint32_t i = 0; i < n_comp; ++i) {
-    comp_who_.push_back(r.u32());
-    comp_value_.push_back(r.i64());
-    comp_stamp_.push_back(r.i64());
+    const NodeId who = r.u32();
+    const std::int64_t value = r.i64();
+    const std::int64_t stamp = r.i64();
+    std::int64_t key = 0;
+    if (!r.ok() || who >= hot_->graph->num_nodes() ||
+        !hot_->graph->has_edge(id_, who) ||
+        std::find(ids, ids + i, who) != ids + i ||
+        __builtin_sub_overflow(value, stamp, &key)) {
+      return false;
+    }
+    ids[i] = who;
+    keys[i] = key;
   }
+  competitors_ = n_comp;
   leader_ = r.u32();
 
+  // Leader service state: only a leader may carry any.
+  LeaderState l;
   const std::uint32_t n_queue = r.u32();
   if (!r.ok() || n_queue > kMaxCheckpointList) return false;
-  queue_.clear();
-  for (std::uint32_t i = 0; i < n_queue; ++i) queue_.push_back(r.u32());
-
+  for (std::uint32_t i = 0; i < n_queue; ++i) l.queue.push_back(r.u32());
   const std::uint32_t n_served = r.u32();
   if (!r.ok() || n_served > kMaxCheckpointList) return false;
-  served_.clear();
-  served_.reserve(n_served);
-  for (std::uint32_t i = 0; i < n_served; ++i) served_.push_back(r.u32());
+  l.served.reserve(n_served);
+  for (std::uint32_t i = 0; i < n_served; ++i) l.served.push_back(r.u32());
+  l.next_tc = r.i32();
+  l.serve_remaining = r.i64();
+  l.serve_tc = r.i32();
+  if (hot_->klass[id_] == ColoringHot::kLeader) {
+    claim_leader_state() = std::move(l);
+  } else if (!l.queue.empty() || !l.served.empty() || l.next_tc != 0 ||
+             l.serve_remaining != 0 || l.serve_tc != 0) {
+    return false;
+  }
 
-  next_tc_ = r.i32();
-  serve_remaining_ = r.i64();
-  serve_tc_ = r.i32();
   stats_.resets = r.u32();
   stats_.verify_states = r.u32();
   stats_.assignments_heard = r.u32();

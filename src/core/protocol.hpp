@@ -14,8 +14,9 @@
 ///
 /// Faithfulness notes (mapped to paper lines):
 ///  * passive phase of ⌈αΔ log n⌉ slots on every A_i entry (Alg. 1 l. 4);
-///  * competitor list P_v stores (value, slot) pairs; the per-slot +1 aging
-///    of d_v(w) (Alg. 1 l. 5/18) is computed lazily as value + elapsed;
+///  * competitor list P_v stores one key d − slot per competitor; the
+///    per-slot +1 aging of d_v(w) (Alg. 1 l. 5/18) is computed lazily as
+///    key + now;
 ///  * reset to χ(P_v) only when a received counter is within the critical
 ///    range ⌈γζ_i log n⌉ (Alg. 1 l. 29);
 ///  * threshold test precedes the transmission attempt within a slot
@@ -44,11 +45,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "core/params.hpp"
 #include "graph/coloring.hpp"
+#include "graph/graph.hpp"
 #include "radio/engine.hpp"
 #include "radio/message.hpp"
 #include "support/check.hpp"
@@ -67,21 +70,45 @@ enum class Phase : std::uint8_t {
   kDecided,  ///< C_i: color i fixed (Algorithm 3)
 };
 
-/// Engine-owned structure-of-arrays block holding every `ColoringNode`
-/// field the per-slot sweep reads or writes.  The engine constructs one
-/// block per run and attaches every node to it (`attach_hot`); a node
-/// indexes the arrays with its own id.  The cold tail (competitor
-/// `SmallVec`, leader `RingQueue`, stats, transition log) stays inside
-/// the node object and is touched only on receive events and phase
-/// transitions, so the hot sweep streams three small arrays instead of
-/// striding over 200+-byte node records.
+/// Algorithm 3 state of one leader (C₀): the FIFO request queue Q, the
+/// requesters already served and the assignment window in progress.  Only
+/// leaders need it, so it lives in the `ColoringHot::leaders` pool and a
+/// node gets its entry on its C₀ decision.
+struct LeaderState {
+  RingQueue<NodeId> queue;           ///< FIFO request queue Q
+  std::vector<NodeId> served;        ///< requesters already served
+  std::int32_t next_tc = 0;          ///< running intra-cluster color
+  std::int32_t serve_tc = 0;         ///< tc of the window in progress
+  std::int64_t serve_remaining = 0;  ///< slots left in the current window
+};
+
+/// Engine-owned block holding every piece of `ColoringNode` state that is
+/// the same for all nodes of a run, or that is better stored per run than
+/// per node.  The engine constructs one block per run from the graph and
+/// attaches every node to it (`attach_hot`); a node indexes the arrays
+/// with its own id.
 ///
-/// `klass` collapses the old (phase, active, leader?) triple into one
-/// byte, ordered so the per-slot dispatch and the decided test are each
-/// a single compare.  Invariants: `kLeader` ⟺ decided with color 0
-/// (only an A₀ threshold decision yields color 0), `kCount` ⟺ the old
-/// `active_` flag, and the checkpoint codec round-trips through the
-/// original (phase, active) pair so the URNC v1 layout is unchanged.
+///  * The per-slot state (`klass`, `counter`, `passive_remaining`) is a
+///    structure of arrays, so the hot sweep streams three small arrays
+///    instead of striding over node records.
+///  * The Params-derived scalars are identical for every node (all nodes
+///    are built from one immutable `Params`) and are published once by
+///    the first `attach_hot`.
+///  * The competitor lists P_v share one store with a slot per directed
+///    edge, aligned with the graph's CSR adjacency: P_v ⊆ N(v) (a node
+///    hears only its neighbours), so v's deg(v) slots bound its list, the
+///    2|E| slots bound all of them at once, and no node allocates.  v's
+///    list occupies the first |P_v| of its slots in arrival order, as
+///    parallel (id, key) arrays; the key is d − stamp of the stored
+///    counter copy d_v(w), aged lazily: d_v(w) at slot `now` is key + now.
+///  * Leader-only Algorithm 3 state is pooled in `leaders`.
+///
+/// `klass` collapses the (phase, active, leader?) triple into one byte,
+/// ordered so the per-slot dispatch and the decided test are each a
+/// single compare.  Invariants: `kLeader` ⟺ decided with color 0 (only
+/// an A₀ threshold decision yields color 0), `kCount` ⟺ actively
+/// counting, and the checkpoint codec round-trips through the (phase,
+/// active) pair of the URNC v1 layout.
 struct ColoringHot {
   enum Klass : std::uint8_t {
     kPassive = 0,       ///< A_i, passive listening (Alg. 1 l. 4–14)
@@ -91,23 +118,60 @@ struct ColoringHot {
     kLeader = 4,        ///< C₀, serving its cluster (Algorithm 3)
   };
 
-  explicit ColoringHot(std::size_t n)
-      : klass(n, kPassive), counter(n, 0), passive_remaining(n, 0) {}
+  /// A block for one run on `g`, which must outlive it.  The competitor
+  /// store is left uninitialized (only the first |P_v| slots of a node
+  /// are ever read), so a node's pages are touched only once it hears a
+  /// competitor.
+  explicit ColoringHot(const graph::Graph& g)
+      : klass(g.num_nodes(), kPassive),
+        counter(g.num_nodes(), 0),
+        passive_remaining(g.num_nodes(), 0),
+        graph(&g),
+        competitor_ids(
+            std::make_unique_for_overwrite<NodeId[]>(2 * g.num_edges())),
+        competitor_keys(std::make_unique_for_overwrite<std::int64_t[]>(
+            2 * g.num_edges())) {}
 
   /// O(1) decided test without touching the node object.
   [[nodiscard]] bool decided(NodeId v) const {
     return klass[v] >= kDecidedOther;
   }
 
+  /// Cache the run's Params-derived scalars (the first `attach_hot`).
+  void set_params(const Params* p) {
+    params = p;
+    threshold = p->threshold();
+    p_active = p->p_active();
+    p_leader = p->p_leader();
+    passive_slots = p->passive_slots();
+    assign_window = p->assign_window();
+    critical_range0 = p->critical_range(0);
+    critical_rangeN = p->critical_range(1);
+  }
+
   std::vector<std::uint8_t> klass;              ///< state byte per node
   std::vector<std::int64_t> counter;            ///< c_v
   std::vector<std::int64_t> passive_remaining;  ///< passive slots left
 
-  // Params-derived scalars shared by every node of a run (all nodes are
-  // built from one immutable `Params`); cached here so the batched sweep
-  // compares against registers instead of re-loading per-node copies.
-  std::int64_t threshold = 0;  ///< ⌈σΔ log n⌉
-  double p_active = 0.0;       ///< 1/(κ₂Δ)
+  // Params-derived scalars shared by every node of a run; the batched
+  // sweep compares against them in registers.  `threshold()` and the
+  // critical ranges hide a std::log, so they are computed once per run.
+  const Params* params = nullptr;
+  std::int64_t threshold = 0;        ///< ⌈σΔ log n⌉
+  double p_active = 0.0;             ///< 1/(κ₂Δ)
+  double p_leader = 0.0;             ///< 1/κ₂
+  std::int64_t passive_slots = 0;    ///< ⌈αΔ log n⌉
+  std::int64_t assign_window = 0;    ///< ⌈β log n⌉
+  std::int64_t critical_range0 = 0;  ///< ζ = 1 (color index 0)
+  std::int64_t critical_rangeN = 0;  ///< ζ = Δ (color index > 0)
+
+  const graph::Graph* graph = nullptr;  ///< the run's graph (CSR layout)
+  /// 2|E| competitor slots, v's at [adjacency_offset(v), +degree(v)):
+  /// the sender w (the scan key) and d_v(w) − stamp.
+  std::unique_ptr<NodeId[]> competitor_ids;
+  std::unique_ptr<std::int64_t[]> competitor_keys;
+
+  std::vector<LeaderState> leaders;  ///< one entry per C₀ node
 };
 
 /// Per-node event counters for experiments and ablations.
@@ -132,11 +196,15 @@ struct Transition {
 
 /// One protocol participant; plugged into radio::Engine<ColoringNode>.
 ///
-/// Hot per-slot state (state byte, counter, passive countdown) lives in
-/// an engine-owned `ColoringHot` SoA block — see `Hot` / `attach_hot`.
-/// A node must be attached to a block before any callback runs; the
-/// engines attach every node in their constructors, and unit tests
-/// drive a node standalone by attaching a one-entry block.
+/// Hot per-slot state (state byte, counter, passive countdown), the run's
+/// Params-derived constants, the competitor list and the leader service
+/// state live in an engine-owned `ColoringHot` block — see `Hot` /
+/// `attach_hot`.  The node object keeps only its identity, its color
+/// bookkeeping, stats and the transition log (≤ 96 bytes, asserted
+/// below).  A node must be attached to a block before any callback runs;
+/// the engines attach every node in their constructors, and unit tests
+/// drive a node standalone by attaching it to a block built on a small
+/// graph around it.
 class ColoringNode {
  public:
   /// Engine-discovered SoA hot-state type (radio::HotStateOf).
@@ -147,35 +215,26 @@ class ColoringNode {
   /// \param params shared parameter set (must outlive the node)
   /// \param id this node's identifier
   ///
-  /// Params-derived quantities used every slot (threshold, sending
-  /// probabilities, passive length, critical ranges) are computed once
-  /// here: `Params` is immutable for the lifetime of a run, and e.g.
-  /// `threshold()` hides a `std::log` that would otherwise run per
-  /// node-slot on the hot path.
-  ColoringNode(const Params* params, NodeId id)
-      : id_(id),
-        threshold_(params->threshold()),
-        p_active_(params->p_active()),
-        p_leader_(params->p_leader()),
-        params_(params),
-        passive_slots_(params->passive_slots()),
-        assign_window_(params->assign_window()),
-        critical_range0_(params->critical_range(0)),
-        critical_rangeN_(params->critical_range(1)) {}
+  /// Cheap by design: the Params-derived constants are computed once per
+  /// run, when the first node is attached to the block.
+  ColoringNode(const Params* params, NodeId id) : params_(params), id_(id) {}
 
-  /// Point this node at the run's SoA hot block and reset its hot entry
-  /// to the pre-wake state.  Also publishes the shared Params-derived
-  /// scalars (threshold, p_active) into the block — identical for every
-  /// node of a run, asserted in debug builds.
+  /// Point this node at the run's block and reset its entries to the
+  /// pre-wake state.  The first node attached publishes the run's
+  /// Params-derived scalars into the block; every node of a run must be
+  /// built from the same `Params`.
   void attach_hot(ColoringHot* hot) {
     hot_ = hot;
     URN_DCHECK(id_ < hot->klass.size());
-    URN_DCHECK(hot->threshold == 0 || hot->threshold == threshold_);
-    hot->threshold = threshold_;
-    hot->p_active = p_active_;
+    if (hot->params != params_) {
+      URN_CHECK(hot->params == nullptr);  // one Params per run
+      hot->set_params(params_);
+    }
     hot->klass[id_] = ColoringHot::kPassive;
     hot->counter[id_] = 0;
     hot->passive_remaining[id_] = 0;
+    slots_ = hot->graph->adjacency_offset(id_);
+    competitors_ = 0;
   }
 
   // --- radio::NodeProtocol interface -------------------------------------
@@ -251,7 +310,7 @@ class ColoringNode {
   [[nodiscard]] const NodeStats& stats() const { return stats_; }
   [[nodiscard]] std::int64_t counter() const { return hot_->counter[id_]; }
   /// Current competitor-list size |P_v|.
-  [[nodiscard]] std::size_t competitors() const { return comp_who_.size(); }
+  [[nodiscard]] std::size_t competitors() const { return competitors_; }
   /// The node's state-transition history (capped at kMaxTransitions).
   [[nodiscard]] const std::vector<Transition>& transitions() const {
     return transitions_;
@@ -263,12 +322,17 @@ class ColoringNode {
   // --- postmortem checkpointing -------------------------------------------
 
   /// Serialize every mutable protocol field (the Params-derived caches
-  /// are reconstructed by the constructor from the scenario and are
-  /// skipped).  Layout is part of the URNC checkpoint format.
+  /// are rebuilt from the scenario and are skipped).  Layout is part of
+  /// the URNC checkpoint format.  Competitors are written in arrival
+  /// order with their key as the value and a stamp of 0: aging and χ
+  /// depend only on value − stamp.
   void save_state(obs::postmortem::Writer& w) const;
 
   /// Restore fields written by `save_state` into a node constructed with
-  /// the same (params, id).  Returns false on a truncated/corrupt buffer.
+  /// the same (params, id) and attached to its run's block.  Returns
+  /// false on a truncated or corrupt buffer — including a competitor that
+  /// is not a neighbour, a competitor listed twice, or leader service
+  /// state on a node that is not a leader.
   [[nodiscard]] bool load_state(obs::postmortem::Reader& r);
 
  private:
@@ -276,53 +340,46 @@ class ColoringNode {
   void enter_decided(std::int32_t color_index, const radio::SlotContext& ctx);
   void record_transition(Slot slot, const radio::SlotContext& ctx);
   void store_competitor(NodeId who, std::int64_t value, Slot now);
-  void clear_competitors();
+  void clear_competitors() { competitors_ = 0; }
+  [[nodiscard]] NodeId* competitor_ids() const {
+    return hot_->competitor_ids.get() + slots_;
+  }
+  [[nodiscard]] std::int64_t* competitor_keys() const {
+    return hot_->competitor_keys.get() + slots_;
+  }
   [[nodiscard]] std::int64_t chi_of_competitors(Slot now) const;
+  [[nodiscard]] LeaderState& leader_state() {
+    return hot_->leaders[leader_state_];
+  }
+  /// This node's leader-pool entry, taken on first use.
+  LeaderState& claim_leader_state();
   std::optional<radio::Message> leader_slot(radio::SlotContext& ctx);
   std::optional<radio::Message> count_slot(radio::SlotContext& ctx);
 
   /// ⌈γζ_i log n⌉ for the current color index, from the cached pair.
   [[nodiscard]] std::int64_t critical_range_now() const {
-    return color_index_ == 0 ? critical_range0_ : critical_rangeN_;
+    return color_index_ == 0 ? hot_->critical_range0 : hot_->critical_rangeN;
   }
 
-  // Hot per-slot state lives in the engine-owned SoA block; the fields
-  // kept here are read on transitions, receive events, or only for the
-  // transmitting minority of slots.
-  ColoringHot* hot_ = nullptr;    ///< run-wide SoA block (attach_hot)
+  static constexpr std::uint32_t kNoLeaderState = ~std::uint32_t{0};
+
+  // Everything shared by the run, the per-slot state, P_v and the leader
+  // service state live in the block; the fields kept here are read on
+  // transitions, receive events, or only for the transmitting minority
+  // of slots.
+  ColoringHot* hot_ = nullptr;    ///< the run's block (attach_hot)
+  const Params* params_ = nullptr;  ///< published into the block on attach
   NodeId id_ = graph::kInvalidNode;
   std::int32_t color_index_ = 0;  ///< i of the current A_i / C_i
   std::int32_t tc_ = -1;          ///< intra-cluster color
-  std::int64_t threshold_ = 0;    ///< cached ⌈σΔ log n⌉
-  double p_active_ = 0.0;         ///< cached 1/(κ₂Δ)
-  double p_leader_ = 0.0;         ///< cached 1/κ₂
-
-  // Cached Params-derived constants for colder paths.
-  const Params* params_ = nullptr;
-  std::int64_t passive_slots_ = 0;
-  std::int64_t assign_window_ = 0;
-  std::int64_t critical_range0_ = 0;  ///< ζ = 1 (color index 0)
-  std::int64_t critical_rangeN_ = 0;  ///< ζ = Δ (color index > 0)
-
-  // P_v with the stored counter copies d_v(w), aged lazily as
-  // value + (now − stamp) (Alg. 1 l. 5/18).  Parallel arrays rather than
-  // an array of records: every matching competitor report delivered to a
-  // verifying node scans the membership for the sender — the single
-  // hottest receive-path loop, ~10⁸ executions in a large run — and the
-  // id-only scan walks contiguous 4-byte keys instead of striding
-  // 24-byte structs (6× fewer cache lines per scan).
-  SmallVec<NodeId, 8> comp_who_;          ///< P_v membership (scan key)
-  SmallVec<std::int64_t, 8> comp_value_;  ///< d_v(w) as of comp_stamp_
-  SmallVec<Slot, 8> comp_stamp_;          ///< slot the value was stored
-
   NodeId leader_ = graph::kInvalidNode;  ///< L(v)
-
-  // Leader (C₀) service state (Algorithm 3).
-  RingQueue<NodeId> queue_;              ///< FIFO request queue Q
-  std::vector<NodeId> served_;           ///< requesters already served
-  std::int32_t next_tc_ = 0;             ///< running intra-cluster color
-  std::int64_t serve_remaining_ = 0;     ///< slots left in current window
-  std::int32_t serve_tc_ = 0;
+  /// v's competitor slots start here in the block's store (its CSR
+  /// offset, cached: the receive path then needs no graph lookup).
+  std::uint32_t slots_ = 0;
+  /// |P_v|: v's first |P_v| competitor slots are in use, so clearing
+  /// the list is this one store.
+  std::uint32_t competitors_ = 0;
+  std::uint32_t leader_state_ = kNoLeaderState;  ///< index in hot_->leaders
 
   NodeStats stats_;
   std::vector<Transition> transitions_;
@@ -348,7 +405,7 @@ inline std::optional<radio::Message> ColoringNode::on_slot(
       // c_v := χ(P_v) (Alg. 1 l. 15), then become active.  The naive /
       // no-reset ablations skip χ and start from 0.
       hot_->counter[id_] =
-          (params_->reset_policy == ResetPolicy::kCriticalRange)
+          (hot_->params->reset_policy == ResetPolicy::kCriticalRange)
               ? chi_of_competitors(ctx.now)
               : 0;
       hot_->klass[id_] = ColoringHot::kCount;
@@ -360,7 +417,7 @@ inline std::optional<radio::Message> ColoringNode::on_slot(
 
     case ColoringHot::kRequest: {
       // Alg. 2 l. 2: transmit M_R(v, L(v)) with probability 1/(κ₂Δ).
-      if (ctx.random().chance(p_active_)) {
+      if (ctx.random().chance(hot_->p_active)) {
         return radio::make_request(id_, leader_);
       }
       return std::nullopt;
@@ -371,7 +428,7 @@ inline std::optional<radio::Message> ColoringNode::on_slot(
 
     default: {  // kDecidedOther
       // Alg. 3 l. 4: non-leader C_i keeps announcing its color.
-      if (ctx.random().chance(p_active_)) {
+      if (ctx.random().chance(hot_->p_active)) {
         return radio::make_decided(id_, color_index_);
       }
       return std::nullopt;
@@ -383,12 +440,12 @@ inline std::optional<radio::Message> ColoringNode::count_slot(
     radio::SlotContext& ctx) {
   std::int64_t& counter = hot_->counter[id_];
   ++counter;  // Alg. 1 l. 17
-  if (counter >= threshold_) {
+  if (counter >= hot_->threshold) {
     // Alg. 1 l. 19–20: decide color i and start Algorithm 3 at once.
     enter_decided(color_index_, ctx);
     return on_slot(ctx);
   }
-  if (ctx.random().chance(p_active_)) {
+  if (ctx.random().chance(hot_->p_active)) {
     return radio::make_compete(id_, color_index_, counter);
   }
   return std::nullopt;
@@ -396,28 +453,29 @@ inline std::optional<radio::Message> ColoringNode::count_slot(
 
 inline std::optional<radio::Message> ColoringNode::leader_slot(
     radio::SlotContext& ctx) {
+  LeaderState& l = leader_state();
   // Start serving the next request if idle (Alg. 3 l. 15–17).
-  if (serve_remaining_ == 0 && !queue_.empty()) {
-    serve_tc_ = ++next_tc_;
-    serve_remaining_ = assign_window_;
+  if (l.serve_remaining == 0 && !l.queue.empty()) {
+    l.serve_tc = ++l.next_tc;
+    l.serve_remaining = hot_->assign_window;
   }
-  if (serve_remaining_ > 0) {
-    const NodeId target = queue_.front();
-    --serve_remaining_;
-    const bool transmit = ctx.random().chance(p_leader_);
-    if (serve_remaining_ == 0) {
+  if (l.serve_remaining > 0) {
+    const NodeId target = l.queue.front();
+    --l.serve_remaining;
+    const bool transmit = ctx.random().chance(hot_->p_leader);
+    if (l.serve_remaining == 0) {
       // Window exhausted: remove w from Q (Alg. 3 l. 21).
-      served_.push_back(target);
-      queue_.pop_front();
+      l.served.push_back(target);
+      l.queue.pop_front();
       if (ctx.tracing()) {
-        ctx.emit(obs::Event::serve(ctx.now, id_, target, serve_tc_));
+        ctx.emit(obs::Event::serve(ctx.now, id_, target, l.serve_tc));
       }
     }
-    if (transmit) return radio::make_assign(id_, target, serve_tc_);
+    if (transmit) return radio::make_assign(id_, target, l.serve_tc);
     return std::nullopt;
   }
   // Idle beacon (Alg. 3 l. 13–14).
-  if (ctx.random().chance(p_leader_)) {
+  if (ctx.random().chance(hot_->p_leader)) {
     return radio::make_decided(id_, 0);
   }
   return std::nullopt;
@@ -511,5 +569,7 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
 }
 
 static_assert(radio::NodeProtocol<ColoringNode>);
+static_assert(sizeof(ColoringNode) <= 96,
+              "per-node state belongs in ColoringHot, not the node object");
 
 }  // namespace urn::core

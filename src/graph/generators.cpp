@@ -65,8 +65,8 @@ GeometricGraph clustered_udg(std::size_t clusters, std::size_t per_cluster,
   for (std::size_t c = 0; c < clusters; ++c) {
     const geom::Vec2 center{rng.uniform(0.0, side), rng.uniform(0.0, side)};
     for (std::size_t i = 0; i < per_cluster; ++i) {
-      geom::Vec2 p{center.x + sigma * rng.normal(),
-                   center.y + sigma * rng.normal()};
+      const auto [dx, dy] = normal_pair(rng);
+      geom::Vec2 p{center.x + sigma * dx, center.y + sigma * dy};
       p.x = std::clamp(p.x, 0.0, side);
       p.y = std::clamp(p.y, 0.0, side);
       out.positions.push_back(p);

@@ -41,6 +41,13 @@ class Graph {
             adjacency_.data() + offsets_[v + 1]};
   }
 
+  /// Index of v's first entry in the CSR adjacency.  An array with one
+  /// slot per directed edge laid out like the adjacency gives v the slots
+  /// [adjacency_offset(v), adjacency_offset(v) + degree(v)).
+  [[nodiscard]] std::uint32_t adjacency_offset(NodeId v) const {
+    URN_DCHECK(v < num_nodes());
+    return offsets_[v];
+  }
   /// Open degree |N(v) \ {v}|.
   [[nodiscard]] std::uint32_t degree(NodeId v) const {
     URN_DCHECK(v < num_nodes());

@@ -84,9 +84,16 @@ void append_bin(std::string& out, const Event& e) {
   out.append(reinterpret_cast<const char*>(rec), kBinRecordSize);
 }
 
-bool parse_bin_record(const unsigned char* data, Event& out) {
+bool parse_bin_record(const unsigned char* data, Event& out,
+                      std::string* illegal) {
   Event e;
   e.slot = static_cast<Slot>(get_u64(data));
+  if (e.slot < 0) {
+    if (illegal != nullptr) {
+      *illegal = "negative slot " + std::to_string(e.slot);
+    }
+    return false;
+  }
   e.value = static_cast<std::int64_t>(get_u64(data + 8));
   e.node = get_u32(data + 16);
   e.peer = get_u32(data + 20);
@@ -243,10 +250,18 @@ ParsedBinFile read_bin_file(const std::string& path) {
 
   std::size_t offset = kBinHeaderSize;
   out.events.reserve((data.size() - offset) / kBinRecordSize);
+  std::string illegal;
   while (offset + kBinRecordSize <= data.size()) {
     Event e;
-    if (parse_bin_record(p + offset, e)) {
+    if (parse_bin_record(p + offset, e, &illegal)) {
       out.events.push_back(e);
+    } else if (!illegal.empty()) {
+      out.ok = false;
+      out.events.clear();
+      out.error = path + ": malformed record " +
+                  std::to_string((offset - kBinHeaderSize) / kBinRecordSize) +
+                  ": " + illegal;
+      return out;
     } else {
       ++out.bad_records;
     }
@@ -293,6 +308,10 @@ ParsedTraceFile read_trace_file(const std::string& path) {
   ParsedLogFile log = read_jsonl_file(path);
   if (!log.ok) {
     out.error = "cannot open " + path;
+    return out;
+  }
+  if (!log.malformed.empty()) {
+    out.error = path + ": " + log.malformed;
     return out;
   }
   if (log.first_line_bad) {

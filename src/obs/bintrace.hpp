@@ -62,8 +62,11 @@ inline constexpr std::uint32_t kBinFlagRing = 1u << 0;
 void append_bin(std::string& out, const Event& e);
 
 /// Decode one 32-byte record (\pre `data` spans kBinRecordSize bytes).
-/// Returns false on an out-of-range kind byte.
-[[nodiscard]] bool parse_bin_record(const unsigned char* data, Event& out);
+/// Returns false on an out-of-range kind byte or a negative slot; the
+/// latter also sets `*illegal` (when given) to a one-line reason, as
+/// `parse_jsonl_line` does.
+[[nodiscard]] bool parse_bin_record(const unsigned char* data, Event& out,
+                                    std::string* illegal = nullptr);
 
 /// Binary event writer; see the file comment for the two modes.
 class BinSink {
@@ -121,7 +124,9 @@ struct ParsedBinFile {
 };
 
 /// Read a `BinSink` file back into events.  Tolerant past the header:
-/// a truncated tail only bumps `bad_records`.
+/// a truncated tail only bumps `bad_records`.  A record with a negative
+/// slot is corruption, not truncation: `ok` is false and `error` names
+/// the record.
 [[nodiscard]] ParsedBinFile read_bin_file(const std::string& path);
 
 /// A trace log of either format, auto-detected.
@@ -139,10 +144,10 @@ struct ParsedTraceFile {
 /// Open `path`, sniff the first four bytes for the binary magic, and
 /// parse accordingly (anything else is treated as JSONL).  `ok` is
 /// false — with `error` set — when the file cannot be opened, is empty,
-/// a binary header is malformed, or a JSONL file's first non-empty line
-/// does not parse (i.e. the file is not a trace log at all).  Tails are
-/// tolerant in both formats: a trailing partial record / line only
-/// bumps `bad`.
+/// a binary header is malformed, a JSONL file's first non-empty line
+/// does not parse (i.e. the file is not a trace log at all), or any
+/// record carries a negative slot.  Tails are tolerant in both formats:
+/// a trailing partial record / line only bumps `bad`.
 [[nodiscard]] ParsedTraceFile read_trace_file(const std::string& path);
 
 }  // namespace urn::obs

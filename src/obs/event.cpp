@@ -161,11 +161,16 @@ void append_jsonl(std::string& out, const Event& e) {
   out.append("}\n");
 }
 
-bool parse_jsonl_line(std::string_view line, Event& out) {
+bool parse_jsonl_line(std::string_view line, Event& out,
+                      std::string* illegal) {
   Event e;
   std::int64_t slot = 0;
   std::string_view kind;
   if (!get_int(line, "slot", slot)) return false;
+  if (slot < 0) {
+    if (illegal != nullptr) *illegal = "negative slot " + std::to_string(slot);
+    return false;
+  }
   if (!get_str(line, "kind", kind)) return false;
   if (!kind_from_name(kind, e.kind)) return false;
   e.slot = slot;

@@ -204,8 +204,11 @@ struct Event {
 void append_jsonl(std::string& out, const Event& e);
 
 /// Parse one JSONL line produced by `append_jsonl` (tolerates extra
-/// whitespace and unknown keys).  Returns false on malformed input or an
-/// unknown kind.
-[[nodiscard]] bool parse_jsonl_line(std::string_view line, Event& out);
+/// whitespace and unknown keys).  Returns false on malformed input, an
+/// unknown kind or a negative slot.  A negative slot is a complete record
+/// with an impossible value — corruption, not truncation — so it also
+/// sets `*illegal` (when given) to a one-line reason.
+[[nodiscard]] bool parse_jsonl_line(std::string_view line, Event& out,
+                                    std::string* illegal = nullptr);
 
 }  // namespace urn::obs

@@ -133,22 +133,24 @@ class Reader {
   bool ok_ = true;
 };
 
-/// Rng stream codec, shared by both media's engine save/load paths.  The full
-/// `Rng::Snapshot` is written (state words plus the cached normal spare)
-/// so restored streams replay draw-for-draw.
+/// Rng stream codec, shared by both media's engine save/load paths.  The
+/// four state words replay the stream draw-for-draw.  The URNC v1 record
+/// also carries the cached normal spare of an earlier `Rng`; streams no
+/// longer cache one, so it is always written as (false, 0.0) and a record
+/// that sets it is refused as corrupt rather than silently dropped.
 inline void write_rng(Writer& w, const Rng& rng) {
   const Rng::Snapshot s = rng.snapshot();
   for (const std::uint64_t word : s.state) w.u64(word);
-  w.boolean(s.have_spare_normal);
-  w.f64(s.spare_normal);
+  w.boolean(false);
+  w.f64(0.0);
 }
 
 inline bool read_rng(Reader& r, Rng& rng) {
   Rng::Snapshot s;
   for (auto& word : s.state) word = r.u64();
-  s.have_spare_normal = r.boolean();
-  s.spare_normal = r.f64();
-  if (!r.ok()) return false;
+  const bool have_spare = r.boolean();
+  const double spare = r.f64();
+  if (!r.ok() || have_spare || spare != 0.0) return false;
   rng.restore(s);
   return true;
 }

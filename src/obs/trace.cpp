@@ -14,13 +14,18 @@ ParsedLogFile read_jsonl_file(const std::string& path) {
   if (!is) return out;
   out.ok = true;
   std::string line;
+  std::string illegal;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     ++out.lines;
     Event e;
-    if (parse_jsonl_line(line, e)) {
+    if (parse_jsonl_line(line, e, &illegal)) {
       out.events.push_back(e);
     } else {
+      if (!illegal.empty() && out.malformed.empty()) {
+        out.malformed =
+            "malformed line " + std::to_string(out.lines) + ": " + illegal;
+      }
       if (out.lines == 1) out.first_line_bad = true;
       ++out.bad_lines;
     }

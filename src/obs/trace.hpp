@@ -37,6 +37,10 @@ struct ParsedLogFile {
   /// Consumers that want fail-fast semantics (urn_trace) treat this as
   /// fatal; a bad line later in an otherwise-good log stays tolerant.
   bool first_line_bad = false;
+  /// Set for the first line that is a complete record with an impossible
+  /// value (a negative slot), e.g. "malformed line 3: negative slot -7".
+  /// Corruption rather than truncation: `read_trace_file` fails on it.
+  std::string malformed;
 };
 
 /// Parse every line of the file at `path` with `parse_jsonl_line`.

@@ -104,7 +104,7 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 // structure-of-arrays block instead of scattered across the node objects
 // (core::ColoringHot is the exemplar).  A protocol opts in by declaring
 //
-//     using Hot = <block type>;               // constructible from n
+//     using Hot = <block type>;               // constructible from the graph
 //     void attach_hot(Hot*);                  // point a node at the block
 //     static void batch_slots(Hot&, const NodeId* awake, std::size_t count,
 //                             Slot now, P* nodes, Rng* rngs,
@@ -122,7 +122,7 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 /// Placeholder hot block for protocols without SoA state (zero size, the
 /// attach/batch paths compile away behind `if constexpr`).
 struct NoHotState {
-  explicit NoHotState(std::size_t /*n*/) {}
+  explicit NoHotState(const graph::Graph& /*g*/) {}
 };
 
 template <typename P, typename = void>
@@ -731,7 +731,7 @@ class Engine {
       : graph_(g),
         schedule_(std::move(schedule)),
         nodes_(std::move(nodes)),
-        hot_(g.num_nodes()),
+        hot_(g),
         medium_(std::move(medium)),
         observer_(observer),
         status_(g.num_nodes(), 0),

@@ -1,139 +1,24 @@
 /// \file containers.hpp
-/// \brief Flat hot-path containers for per-node protocol state.
+/// \brief Flat containers for per-node protocol state.
 ///
-/// The engine keeps one protocol object per node and touches all of them
-/// every slot, so per-node heap blocks (a `std::vector` competitor list, a
-/// `std::deque` FIFO) dominate cache behavior at scale.  Two replacements:
-///
-///  * `SmallVec<T, N>` — a vector with N elements of inline storage.  The
-///    common case (|P_v| small, bounded by the critical-range window) never
-///    allocates; growth beyond N spills to the heap transparently.
-///    Restricted to trivially copyable T so moves/copies are `memcpy`.
-///  * `RingQueue<T>` — a power-of-two ring-buffer FIFO replacing
-///    `std::deque` (which allocates a map-of-blocks per instance and
-///    scatters elements across pages).  Supports exactly the operations
-///    the leader service loop needs: push_back / front / pop_front /
-///    clear / contains.
-///
-/// Both are deliberately minimal: no erase-in-middle, no iterator
-/// invalidation guarantees beyond "don't mutate while iterating".
+/// `RingQueue<T>` — a power-of-two ring-buffer FIFO replacing `std::deque`
+/// (which allocates a map-of-blocks per instance and scatters elements
+/// across pages) for a leader's request queue.  It supports exactly the
+/// operations the leader service loop needs: push_back / front /
+/// pop_front / clear / contains.  Deliberately minimal: no erase in the
+/// middle, no iterator invalidation guarantees beyond "don't mutate while
+/// iterating".
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
 #include <vector>
 
 #include "support/check.hpp"
 
 namespace urn {
-
-/// Vector with inline storage for the first N elements (T trivially
-/// copyable).  `clear()` keeps any heap capacity for reuse.
-template <typename T, std::size_t N>
-class SmallVec {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "SmallVec requires trivially copyable T");
-  static_assert(N > 0, "SmallVec requires at least one inline slot");
-
- public:
-  SmallVec() = default;
-
-  SmallVec(const SmallVec& other) { copy_from(other); }
-  SmallVec& operator=(const SmallVec& other) {
-    if (this != &other) {
-      release();
-      copy_from(other);
-    }
-    return *this;
-  }
-  SmallVec(SmallVec&& other) noexcept { steal(other); }
-  SmallVec& operator=(SmallVec&& other) noexcept {
-    if (this != &other) {
-      release();
-      steal(other);
-    }
-    return *this;
-  }
-  ~SmallVec() { release(); }
-
-  void push_back(const T& value) {
-    if (size_ == cap_) grow();
-    data_[size_++] = value;
-  }
-  void clear() { size_ = 0; }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
-  /// True while elements still live in the inline buffer (test hook).
-  [[nodiscard]] bool inline_storage() const { return data_ == inline_; }
-
-  [[nodiscard]] T* begin() { return data_; }
-  [[nodiscard]] T* end() { return data_ + size_; }
-  [[nodiscard]] const T* begin() const { return data_; }
-  [[nodiscard]] const T* end() const { return data_ + size_; }
-  [[nodiscard]] T& operator[](std::size_t i) {
-    URN_DCHECK(i < size_);
-    return data_[i];
-  }
-  [[nodiscard]] const T& operator[](std::size_t i) const {
-    URN_DCHECK(i < size_);
-    return data_[i];
-  }
-
- private:
-  void grow() {
-    const std::size_t new_cap = cap_ * 2;
-    T* heap = new T[new_cap];
-    std::memcpy(static_cast<void*>(heap), static_cast<const void*>(data_),
-                size_ * sizeof(T));
-    if (data_ != inline_) delete[] data_;
-    data_ = heap;
-    cap_ = new_cap;
-  }
-
-  void release() {
-    if (data_ != inline_) delete[] data_;
-    data_ = inline_;
-    cap_ = N;
-    size_ = 0;
-  }
-
-  void copy_from(const SmallVec& other) {
-    if (other.size_ > N) {
-      data_ = new T[other.cap_];
-      cap_ = other.cap_;
-    }
-    size_ = other.size_;
-    std::memcpy(static_cast<void*>(data_),
-                static_cast<const void*>(other.data_), size_ * sizeof(T));
-  }
-
-  void steal(SmallVec& other) noexcept {
-    if (other.data_ != other.inline_) {
-      data_ = other.data_;
-      cap_ = other.cap_;
-      size_ = other.size_;
-      other.data_ = other.inline_;
-      other.cap_ = N;
-      other.size_ = 0;
-    } else {
-      size_ = other.size_;
-      std::memcpy(static_cast<void*>(inline_),
-                  static_cast<const void*>(other.inline_),
-                  size_ * sizeof(T));
-      other.size_ = 0;
-    }
-  }
-
-  T inline_[N];
-  T* data_ = inline_;
-  std::size_t cap_ = N;
-  std::size_t size_ = 0;
-};
 
 /// Power-of-two ring-buffer FIFO.  Capacity doubles on demand; `clear()`
 /// keeps the buffer.  T must be trivially copyable (elements relocate on

@@ -10,21 +10,15 @@ double Rng::exponential(double rate) {
   return -std::log1p(-uniform()) / rate;
 }
 
-double Rng::normal() {
-  if (have_spare_normal_) {
-    have_spare_normal_ = false;
-    return spare_normal_;
-  }
+std::pair<double, double> normal_pair(Rng& rng) {
   double u = 0.0, v = 0.0, s = 0.0;
   do {
-    u = uniform(-1.0, 1.0);
-    v = uniform(-1.0, 1.0);
+    u = rng.uniform(-1.0, 1.0);
+    v = rng.uniform(-1.0, 1.0);
     s = u * u + v * v;
   } while (s >= 1.0 || s == 0.0);
   const double factor = std::sqrt(-2.0 * std::log(s) / s);
-  spare_normal_ = v * factor;
-  have_spare_normal_ = true;
-  return u * factor;
+  return {u * factor, v * factor};
 }
 
 }  // namespace urn

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "support/check.hpp"
@@ -39,6 +40,10 @@ namespace urn {
 ///
 /// Satisfies the C++ UniformRandomBitGenerator requirements, so it can also
 /// drive `std::shuffle` etc. where stream stability does not matter.
+///
+/// The object is exactly the four state words (32 bytes): engines keep one
+/// stream per node, so every byte here is paid n times.  Normal deviates
+/// come in pairs from `normal_pair`, which caches nothing in the stream.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -116,9 +121,6 @@ class Rng {
   /// \pre rate > 0
   [[nodiscard]] double exponential(double rate);
 
-  /// Standard normal variate (Marsaglia polar method).
-  [[nodiscard]] double normal();
-
   /// Fisher–Yates shuffle with this generator's stable stream.
   template <typename T>
   void shuffle(std::vector<T>& v) {
@@ -132,24 +134,15 @@ class Rng {
   /// A new generator whose stream is decorrelated from this one.
   [[nodiscard]] Rng split() { return Rng(mix_seed((*this)(), (*this)())); }
 
-  /// Complete generator state.  `normal()` caches a spare variate between
-  /// calls, so the snapshot carries it too — restoring and replaying
-  /// reproduces the stream draw-for-draw, not just word-for-word.
+  /// Complete generator state: restoring it replays the stream
+  /// draw-for-draw.
   struct Snapshot {
     std::array<std::uint64_t, 4> state{};
-    bool have_spare_normal = false;
-    double spare_normal = 0.0;
   };
 
-  [[nodiscard]] Snapshot snapshot() const {
-    return Snapshot{state_, have_spare_normal_, spare_normal_};
-  }
+  [[nodiscard]] Snapshot snapshot() const { return Snapshot{state_}; }
 
-  void restore(const Snapshot& s) {
-    state_ = s.state;
-    have_spare_normal_ = s.have_spare_normal;
-    spare_normal_ = s.spare_normal;
-  }
+  void restore(const Snapshot& s) { state_ = s.state; }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
@@ -157,8 +150,13 @@ class Rng {
   }
 
   std::array<std::uint64_t, 4> state_{};
-  bool have_spare_normal_ = false;
-  double spare_normal_ = 0.0;
 };
+
+static_assert(sizeof(Rng) == 32, "a per-node stream is its four words");
+
+/// Two independent standard normal variates from one Marsaglia polar
+/// draw.  Consuming both in order reproduces the stream of a cached-spare
+/// `normal()` called twice in a row.
+[[nodiscard]] std::pair<double, double> normal_pair(Rng& rng);
 
 }  // namespace urn

@@ -55,7 +55,7 @@ class ReferenceEngine {
       : graph_(g),
         schedule_(std::move(schedule)),
         nodes_(std::move(nodes)),
-        hot_(g.num_nodes()),
+        hot_(g),
         medium_(medium),
         medium_rng_(mix_seed(seed, 0xFADEDull)) {
     if constexpr (radio::kHasHotState<P>) {

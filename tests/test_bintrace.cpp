@@ -60,10 +60,11 @@ radio::RunStats run_with_sink(std::uint64_t seed, std::size_t n, O* observer,
 }
 
 /// Every kind with extreme field values (the binary record must carry
-/// the full domain of each field, not just what real runs produce).
+/// the full domain of each field, not just what real runs produce; the
+/// domain of a slot is [0, INT64_MAX]).
 std::vector<Event> extreme_events() {
   constexpr Slot kSlotMax = std::numeric_limits<Slot>::max();
-  constexpr Slot kSlotMin = std::numeric_limits<Slot>::min();
+  constexpr Slot kSlotMin = 0;
   constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
   constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
   constexpr std::int32_t kI32Max = std::numeric_limits<std::int32_t>::max();
@@ -81,7 +82,7 @@ std::vector<Event> extreme_events() {
       Event::delivery(0, kNodeMax, kNodeMax - 1,
                       static_cast<std::uint8_t>(MsgCode::kAssign), kI32Min),
       Event::collision(kSlotMax, kNodeMax),
-      Event::drop(-1, kNodeMax, 0,
+      Event::drop(1, kNodeMax, 0,
                   static_cast<std::uint8_t>(MsgCode::kDecided)),
       Event::phase_change(kSlotMax, kNodeMax,
                           static_cast<std::uint8_t>(PhaseCode::kDecided),
@@ -104,6 +105,36 @@ TEST(BinRecord, RoundTripsEveryKindWithExtremeValues) {
         reinterpret_cast<const unsigned char*>(buf.data()), back));
     EXPECT_EQ(back, e) << kind_name(e.kind);
   }
+}
+
+TEST(BinRecord, RejectsNegativeSlotAsIllegal) {
+  std::string buf;
+  append_bin(buf, Event::wake(-7, 2));
+  Event back;
+  std::string illegal;
+  EXPECT_FALSE(parse_bin_record(
+      reinterpret_cast<const unsigned char*>(buf.data()), back, &illegal));
+  EXPECT_EQ(illegal, "negative slot -7");
+}
+
+TEST(BinSink, NegativeSlotMidFileFailsTheRead) {
+  // A complete record with a negative slot is corruption, not a
+  // truncated tail: the whole read fails with the record named.
+  const std::string path = ::testing::TempDir() + "bintrace_negative.bin";
+  {
+    BinSink sink(path);
+    ASSERT_TRUE(sink.ok());
+    sink.record(Event::wake(0, 0));
+    sink.record(Event::wake(-3, 1));
+    sink.record(Event::wake(2, 2));
+  }
+  const ParsedBinFile parsed = read_bin_file(path);
+  EXPECT_FALSE(parsed.ok);
+  EXPECT_TRUE(parsed.events.empty());
+  EXPECT_NE(parsed.error.find("malformed record 1: negative slot -3"),
+            std::string::npos)
+      << parsed.error;
+  std::remove(path.c_str());
 }
 
 TEST(BinRecord, RejectsOutOfRangeKind) {

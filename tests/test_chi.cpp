@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <span>
 #include <vector>
 
 #include "core/chi.hpp"
@@ -12,64 +14,71 @@
 namespace urn::core {
 namespace {
 
+/// χ with a fresh scratch per call (the unit cases below are one-shot).
+std::int64_t chi_of(std::span<const std::int64_t> counters,
+                    std::int64_t range) {
+  std::vector<std::int64_t> scratch;
+  return chi(counters, range, scratch);
+}
+
 TEST(Chi, EmptyCompetitorListGivesZero) {
-  EXPECT_EQ(chi({}, 10), 0);
+  EXPECT_EQ(chi_of({}, 10), 0);
 }
 
 TEST(Chi, FarAwayCounterDoesNotConstrain) {
   const std::vector<std::int64_t> counters = {100};
-  EXPECT_EQ(chi(counters, 10), 0);
+  EXPECT_EQ(chi_of(counters, 10), 0);
 }
 
 TEST(Chi, CounterAtZeroPushesBelowItsRange) {
   const std::vector<std::int64_t> counters = {0};
-  EXPECT_EQ(chi(counters, 10), -11);
+  EXPECT_EQ(chi_of(counters, 10), -11);
 }
 
 TEST(Chi, PositiveCounterWhoseRangeReachesZero) {
   const std::vector<std::int64_t> counters = {5};
   // Forbidden: [-5, 15] → largest feasible ≤ 0 is −6.
-  EXPECT_EQ(chi(counters, 10), -6);
+  EXPECT_EQ(chi_of(counters, 10), -6);
 }
 
 TEST(Chi, ZeroRangeOnlyExcludesThePointItself) {
   const std::vector<std::int64_t> counters = {0, -2};
-  EXPECT_EQ(chi(counters, 0), -1);
+  EXPECT_EQ(chi_of(counters, 0), -1);
 }
 
 TEST(Chi, CascadingIntervals) {
   // [-11, 9] and [-25, -5] overlap; union [-25, 9] → −26.
   const std::vector<std::int64_t> counters = {-1, -15};
-  EXPECT_EQ(chi(counters, 10), -26);
+  EXPECT_EQ(chi_of(counters, 10), -26);
 }
 
 TEST(Chi, GapBetweenIntervalsIsUsed) {
   // Ranges (R = 2): [3−2, 3+2] = [1,5] (irrelevant, > 0 after clip? no:
   // lo = 1 > 0 → dropped) and [−10±2] = [−12, −8]. Result: 0.
   const std::vector<std::int64_t> counters = {3, -10};
-  EXPECT_EQ(chi(counters, 2), 0);
+  EXPECT_EQ(chi_of(counters, 2), 0);
 }
 
 TEST(Chi, LandsInGapJustBelowInterval) {
   // R = 2: [-2, 2] forbids 0; next candidate −3; [−9±2] = [−11, −7]
   // does not contain −3 → χ = −3.
   const std::vector<std::int64_t> counters = {0, -9};
-  EXPECT_EQ(chi(counters, 2), -3);
+  EXPECT_EQ(chi_of(counters, 2), -3);
 }
 
 TEST(Chi, AdjacentIntervalsMerge) {
   // R = 1: [−1, 1] and [−4, −2] are adjacent (−2 follows −1): χ = −5.
   const std::vector<std::int64_t> counters = {0, -3};
-  EXPECT_EQ(chi(counters, 1), -5);
+  EXPECT_EQ(chi_of(counters, 1), -5);
 }
 
 TEST(Chi, DuplicateCountersHandled) {
   const std::vector<std::int64_t> counters = {0, 0, 0};
-  EXPECT_EQ(chi(counters, 5), -6);
+  EXPECT_EQ(chi_of(counters, 5), -6);
 }
 
 TEST(Chi, NegativeRangeRejected) {
-  EXPECT_THROW((void)chi({}, -1), CheckError);
+  EXPECT_THROW((void)chi_of({}, -1), CheckError);
 }
 
 // Property sweep: for random competitor sets, χ is ≤ 0, outside every
@@ -79,6 +88,7 @@ class ChiProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChiProperty, PostconditionsHold) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 13);
+  std::vector<std::int64_t> scratch;  // reused across trials, as callers do
   for (int trial = 0; trial < 200; ++trial) {
     const auto k = 1 + rng.below(12);
     const std::int64_t range = static_cast<std::int64_t>(rng.below(50));
@@ -86,7 +96,10 @@ TEST_P(ChiProperty, PostconditionsHold) {
     for (std::uint64_t i = 0; i < k; ++i) {
       counters.push_back(rng.range(-300, 300));
     }
-    const std::int64_t x = chi(counters, range);
+    const std::int64_t x = chi(counters, range, scratch);
+    std::vector<std::int64_t> sorted = counters;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(chi_sorted(sorted, range), x);
 
     EXPECT_LE(x, 0);
     auto forbidden = [&](std::int64_t v) {
@@ -117,7 +130,7 @@ TEST(Chi, LowerBoundMatchesLemma6Shape) {
     for (std::uint64_t i = 0; i < k; ++i) {
       counters.push_back(rng.range(-200, 200));
     }
-    const std::int64_t x = chi(counters, range);
+    const std::int64_t x = chi_of(counters, range);
     const std::int64_t bound =
         -static_cast<std::int64_t>(k) * (2 * range + 1) - 1;
     EXPECT_GE(x, bound);

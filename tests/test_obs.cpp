@@ -59,12 +59,12 @@ TEST(Event, JsonlRoundTripsEveryKind) {
 }
 
 TEST(Event, JsonlRoundTripsExtremeFieldValues) {
-  // Every kind at the edges of its field domains: INT64 extremes for
-  // slots / values, UINT32_MAX (kNoNode) node / peer ids, INT32 extremes
-  // for colors.  Serialization and parsing must be exact — no precision
-  // loss through the text form.
+  // Every kind at the edges of its field domains: slots 0 and INT64_MAX
+  // (a slot is never negative), INT64 extremes for values, UINT32_MAX
+  // (kNoNode) node / peer ids, INT32 extremes for colors.  Serialization
+  // and parsing must be exact — no precision loss through the text form.
   constexpr Slot kSlotMax = std::numeric_limits<Slot>::max();
-  constexpr Slot kSlotMin = std::numeric_limits<Slot>::min();
+  constexpr Slot kSlotMin = 0;
   constexpr std::int64_t kI64Max = std::numeric_limits<std::int64_t>::max();
   constexpr std::int64_t kI64Min = std::numeric_limits<std::int64_t>::min();
   constexpr std::int32_t kI32Max = std::numeric_limits<std::int32_t>::max();
@@ -81,7 +81,7 @@ TEST(Event, JsonlRoundTripsExtremeFieldValues) {
       Event::delivery(kSlotMax, kNoNode, kNoNode - 1,
                       static_cast<std::uint8_t>(MsgCode::kAssign), kI32Min),
       Event::collision(kSlotMin, kNoNode),
-      Event::drop(-1, kNoNode, 0,
+      Event::drop(1, kNoNode, 0,
                   static_cast<std::uint8_t>(MsgCode::kDecided)),
       Event::phase_change(kSlotMax, kNoNode,
                           static_cast<std::uint8_t>(PhaseCode::kDecided),
@@ -97,6 +97,23 @@ TEST(Event, JsonlRoundTripsExtremeFieldValues) {
     ASSERT_TRUE(parse_jsonl_line(line, back)) << line;
     EXPECT_EQ(back, e) << line;
   }
+}
+
+TEST(Event, JsonlRejectsNegativeSlotsAsIllegal) {
+  for (const Slot slot : {Slot{-1}, std::numeric_limits<Slot>::min()}) {
+    std::string line;
+    append_jsonl(line, Event::wake(slot, 0));
+    Event back;
+    std::string illegal;
+    EXPECT_FALSE(parse_jsonl_line(line, back, &illegal)) << line;
+    EXPECT_EQ(illegal, "negative slot " + std::to_string(slot));
+  }
+  // Undecodable input is malformed but not "illegal": no reason is set.
+  Event back;
+  std::string illegal;
+  EXPECT_FALSE(parse_jsonl_line("{\"slot\":3,\"kind\":\"nope\"}", back,
+                                &illegal));
+  EXPECT_TRUE(illegal.empty());
 }
 
 TEST(Event, ParserToleratesEscapedAndUnknownStringPayloads) {

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,6 @@ TEST(PostmortemCodec, ReaderLatchesOnTruncation) {
 
 TEST(PostmortemCodec, RngSnapshotRoundTripReplaysDrawForDraw) {
   Rng original(12345);
-  (void)original.normal();  // park a spare so the cache path is exercised
   (void)original.below(100);
 
   pm::Writer w;
@@ -109,7 +109,25 @@ TEST(PostmortemCodec, RngSnapshotRoundTripReplaysDrawForDraw) {
 
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(original.below(1000), restored.below(1000)) << "draw " << i;
-    EXPECT_EQ(original.normal(), restored.normal()) << "draw " << i;
+    EXPECT_EQ(normal_pair(original), normal_pair(restored)) << "draw " << i;
+  }
+}
+
+TEST(PostmortemCodec, RngRecordKeepsTheV1SpareFieldsEmpty) {
+  // The v1 record is 4 state words, a have-spare flag and the spare:
+  // written as (false, 0.0); a record that sets either is corrupt.
+  pm::Writer w;
+  pm::write_rng(w, Rng(7));
+  ASSERT_EQ(w.data().size(), 4 * 8 + 1 + 8u);
+  EXPECT_EQ(w.data()[32], '\0');
+  EXPECT_EQ(w.data().substr(33), std::string(8, '\0'));
+
+  for (const std::size_t at : {std::size_t{32}, std::size_t{40}}) {
+    std::string bad = w.data();
+    bad[at] = 1;
+    Rng rng(1);
+    pm::Reader r(bad);
+    EXPECT_FALSE(pm::read_rng(r, rng)) << "byte " << at;
   }
 }
 
@@ -521,6 +539,155 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ScenarioMutant>& param_info) {
       return std::string(param_info.param.name);
     });
+
+// ---- engine-state round trip and semantic checks --------------------------
+
+using AlignedEngine = radio::Engine<core::ColoringNode>;
+
+std::string engine_blob(const AlignedEngine& e) {
+  pm::Writer w;
+  e.save_state(w);
+  return w.data();
+}
+
+/// A fresh engine for `f`, stepped `steps` slots.
+std::unique_ptr<AlignedEngine> stepped_engine(const BundleFixture& f,
+                                              radio::Slot steps) {
+  auto e = std::make_unique<AlignedEngine>(
+      f.g, f.schedule, core::make_nodes(f.params, f.g.num_nodes()), f.seed);
+  for (radio::Slot t = 0; t < steps; ++t) e->step();
+  return e;
+}
+
+/// Steps `f` until some node is a leader and some node's P_v is non-empty
+/// (every per-node list of the engine-state section then carries data);
+/// returns the slot count.
+radio::Slot slots_until_populated(const BundleFixture& f) {
+  auto e = stepped_engine(f, 0);
+  for (radio::Slot t = 1; t < f.budget; ++t) {
+    e->step();
+    bool leader = false;
+    bool competitors = false;
+    for (graph::NodeId v = 0; v < f.g.num_nodes(); ++v) {
+      leader = leader || e->node(v).is_leader();
+      competitors = competitors || e->node(v).competitors() > 0;
+    }
+    if (leader && competitors) return t;
+  }
+  return 0;
+}
+
+/// Byte offset of node v's record inside an aligned engine-state blob
+/// (the node records close the section, in id order).
+std::size_t node_record_at(const AlignedEngine& e, std::size_t blob_size,
+                           graph::NodeId v) {
+  std::size_t tail = 0;
+  std::size_t before_v = 0;
+  for (graph::NodeId u = 0; u < e.num_nodes(); ++u) {
+    pm::Writer w;
+    e.node(u).save_state(w);
+    tail += w.data().size();
+    if (u < v) before_v += w.data().size();
+  }
+  return blob_size - tail + before_v;
+}
+
+TEST(EngineState, SaveLoadSaveIsByteIdentical) {
+  const BundleFixture f = make_fixture(31);
+  const radio::Slot at = slots_until_populated(f);
+  ASSERT_GT(at, 0);
+  const auto original = stepped_engine(f, at);
+  const std::string blob = engine_blob(*original);
+
+  auto restored = stepped_engine(f, 0);
+  pm::Reader r(blob);
+  ASSERT_TRUE(restored->load_state(r));
+  EXPECT_EQ(engine_blob(*restored), blob);
+
+  // Both continue identically.
+  for (int t = 0; t < 300; ++t) {
+    original->step();
+    restored->step();
+  }
+  EXPECT_EQ(engine_blob(*restored), engine_blob(*original));
+}
+
+TEST(EngineState, GoldenFixtureReSavesToAStableLayout) {
+  // A v1 file from an older writer loads, re-saves to a section of the
+  // same size, and that re-save is a fixed point of load → save.
+  const core::LoadedCheckpoint ck = core::load_checkpoint(
+      std::string(URN_FIXTURE_DIR) + "/aligned_v1.urnc");
+  ASSERT_TRUE(ck.ok) << ck.error;
+  const core::CheckpointScenario& s = ck.scenario;
+  const radio::WakeSchedule schedule(s.wake_slots);
+  auto load = [&](const std::string& blob) {
+    auto e = std::make_unique<AlignedEngine>(
+        ck.graph, schedule, core::make_nodes(s.params, s.num_nodes), s.seed,
+        s.medium);
+    pm::Reader r(blob);
+    EXPECT_TRUE(e->load_state(r));
+    return e;
+  };
+  const std::string once = engine_blob(*load(ck.engine_state));
+  EXPECT_EQ(once.size(), ck.engine_state.size());
+  EXPECT_EQ(engine_blob(*load(once)), once);
+}
+
+TEST(EngineState, LoadRejectsImpossibleNodeState) {
+  const BundleFixture f = make_fixture(31);
+  const radio::Slot at = slots_until_populated(f);
+  ASSERT_GT(at, 0);
+  const auto e = stepped_engine(f, at);
+  const std::string blob = engine_blob(*e);
+  auto loads = [&](const std::string& bytes) {
+    auto fresh = stepped_engine(f, 0);
+    pm::Reader r(bytes);
+    return fresh->load_state(r);
+  };
+  ASSERT_TRUE(loads(blob));
+  auto put_u32 = [](std::string& bytes, std::size_t at_byte, std::uint32_t x) {
+    for (int i = 0; i < 4; ++i) {
+      bytes[at_byte + static_cast<std::size_t>(i)] =
+          static_cast<char>((x >> (8 * i)) & 0xFF);
+    }
+  };
+
+  // A node record: phase, active, id, color, tc, counter, passive, then
+  // |P_v| at +30 and 20-byte (id, value, stamp) entries from +34.
+  graph::NodeId v = 0;
+  while (e->node(v).competitors() == 0) ++v;
+  const std::size_t rec = node_record_at(*e, blob.size(), v);
+  ASSERT_EQ(static_cast<unsigned char>(blob[rec + 2]), v & 0xFFu);
+
+  std::string self = blob;  // v is never its own neighbour
+  put_u32(self, rec + 34, v);
+  EXPECT_FALSE(loads(self));
+
+  if (e->node(v).competitors() >= 2) {
+    std::string twice = blob;  // the second entry repeats the first
+    twice.replace(rec + 54, 4, blob.substr(rec + 34, 4));
+    EXPECT_FALSE(loads(twice));
+  }
+
+  // Leader service state on a node that is not a leader: after L(v), an
+  // empty queue and an empty served list comes next_tc.
+  graph::NodeId u = 0;
+  while (e->node(u).is_leader()) ++u;
+  const std::size_t urec = node_record_at(*e, blob.size(), u);
+  const std::size_t next_tc =
+      urec + 34 + 20 * e->node(u).competitors() + 4 + 4 + 4;
+  std::string serving = blob;
+  put_u32(serving, next_tc, 1);
+  EXPECT_FALSE(loads(serving));
+
+  // The rng records (41 bytes each) precede the node records; node 0's
+  // have-spare flag follows its four state words.
+  std::string spare = blob;
+  const std::size_t rng0 =
+      node_record_at(*e, blob.size(), 0) - 41 * e->num_nodes();
+  spare[rng0 + 32] = 1;
+  EXPECT_FALSE(loads(spare));
+}
 
 }  // namespace
 }  // namespace urn

@@ -17,6 +17,12 @@ namespace {
 
 Params tiny_params() { return Params::practical(16, 2, 2, 3); }
 
+/// The graph standalone nodes are attached on: node 0 hears nodes 1..63.
+const graph::Graph& hub() {
+  static const graph::Graph g = graph::star_graph(64);
+  return g;
+}
+
 radio::SlotContext ctx_at(graph::NodeId id, radio::Slot now, Rng& rng) {
   radio::SlotContext ctx;
   ctx.id = id;
@@ -30,7 +36,7 @@ radio::SlotContext ctx_at(graph::NodeId id, radio::Slot now, Rng& rng) {
 TEST(Protocol, WakesIntoVerifyZero) {
   const Params p = tiny_params();
   Rng rng(1);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto ctx = ctx_at(0, 0, rng);
@@ -44,7 +50,7 @@ TEST(Protocol, WakesIntoVerifyZero) {
 TEST(Protocol, PassivePhaseIsSilent) {
   const Params p = tiny_params();
   Rng rng(2);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto ctx = ctx_at(0, 0, rng);
@@ -58,7 +64,7 @@ TEST(Protocol, PassivePhaseIsSilent) {
 TEST(Protocol, IsolatedNodeDecidesAtExactThreshold) {
   const Params p = tiny_params();
   Rng rng(3);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto ctx = ctx_at(0, 0, rng);
@@ -80,7 +86,7 @@ TEST(Protocol, IsolatedNodeDecidesAtExactThreshold) {
 TEST(Protocol, HearingLeaderInA0MovesToRequest) {
   const Params p = tiny_params();
   Rng rng(4);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto ctx = ctx_at(0, 0, rng);
@@ -95,7 +101,7 @@ TEST(Protocol, AssignMessageAlsoIdentifiesLeader) {
   // sender is in C₀ (Fig. 2: any M_C^0 message).
   const Params p = tiny_params();
   Rng rng(5);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto ctx = ctx_at(0, 0, rng);
@@ -108,7 +114,7 @@ TEST(Protocol, AssignMessageAlsoIdentifiesLeader) {
 TEST(Protocol, RequestOnlyAcceptsOwnAssignment) {
   const Params p = tiny_params();
   Rng rng(6);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto ctx = ctx_at(0, 0, rng);
@@ -132,7 +138,7 @@ TEST(Protocol, RequestOnlyAcceptsOwnAssignment) {
 TEST(Protocol, CoveredVerifierAdvancesToNextColor) {
   const Params p = tiny_params();
   Rng rng(7);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto ctx = ctx_at(0, 0, rng);
@@ -153,7 +159,7 @@ TEST(Protocol, CoveredVerifierAdvancesToNextColor) {
 TEST(Protocol, CompetitorWithinCriticalRangeCausesReset) {
   const Params p = tiny_params();
   Rng rng(8);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto wake = ctx_at(0, 0, rng);
@@ -177,7 +183,7 @@ TEST(Protocol, CompetitorWithinCriticalRangeCausesReset) {
 TEST(Protocol, CompetitorOutsideCriticalRangeIsOnlyStored) {
   const Params p = tiny_params();
   Rng rng(9);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto wake = ctx_at(0, 0, rng);
@@ -199,7 +205,7 @@ TEST(Protocol, CompetitorOutsideCriticalRangeIsOnlyStored) {
 TEST(Protocol, CompetitorOfOtherColorIgnored) {
   const Params p = tiny_params();
   Rng rng(10);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto wake = ctx_at(0, 0, rng);
@@ -219,7 +225,7 @@ TEST(Protocol, NaivePolicyResetsToZeroOnHigherCounter) {
   Params p = tiny_params();
   p.reset_policy = ResetPolicy::kNaive;
   Rng rng(11);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto wake = ctx_at(0, 0, rng);
@@ -244,7 +250,7 @@ TEST(Protocol, NonePolicyNeverResets) {
   Params p = tiny_params();
   p.reset_policy = ResetPolicy::kNone;
   Rng rng(12);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto wake = ctx_at(0, 0, rng);
@@ -323,7 +329,7 @@ TEST(Protocol, DecidedNodeKeepsAnnouncing) {
   // transmissions over a long window.
   const Params p = tiny_params();
   Rng rng(13);
-  ColoringHot hot(1);
+  ColoringHot hot(hub());
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   auto wake = ctx_at(0, 0, rng);

@@ -9,6 +9,7 @@
 
 #include "core/params.hpp"
 #include "core/protocol.hpp"
+#include "graph/generators.hpp"
 #include "radio/message.hpp"
 #include "support/rng.hpp"
 
@@ -52,7 +53,8 @@ TEST_P(ProtocolFuzz, SurvivesArbitraryTrafficWithInvariantsIntact) {
   const Params params = Params::practical(64, 6, 4, 6);
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761u + 17);
 
-  ColoringHot hot(1);
+  const graph::Graph hub = graph::star_graph(64);  // node 0 hears 1..63
+  ColoringHot hot(hub);
   ColoringNode node(&params, /*id=*/0);
   node.attach_hot(&hot);
   radio::SlotContext ctx;
@@ -111,7 +113,8 @@ TEST(ProtocolFuzz, AdversarialCoverEveryColorForcesForwardProgressOnly) {
   // never decide or regress.
   const Params params = Params::practical(64, 6, 4, 6);
   Rng rng(99);
-  ColoringHot hot(1);
+  const graph::Graph hub = graph::star_graph(64);  // node 0 hears 1..63
+  ColoringHot hot(hub);
   ColoringNode node(&params, 0);
   node.attach_hot(&hot);
   radio::SlotContext ctx;
@@ -138,7 +141,8 @@ TEST(ProtocolFuzz, CounterSpamCannotForceEarlyDecision) {
   // the threshold faster than the slot clock allows.
   const Params params = Params::practical(64, 6, 4, 6);
   Rng rng(123);
-  ColoringHot hot(1);
+  const graph::Graph hub = graph::star_graph(64);  // node 0 hears 1..63
+  ColoringHot hot(hub);
   ColoringNode node(&params, 0);
   node.attach_hot(&hot);
   radio::SlotContext ctx;

@@ -134,7 +134,8 @@ TEST(TraceLegality, TransitionLogCapsAtKMaxTransitionsButNodeKeepsGoing) {
   // color.  The recorded history must cap at kMaxTransitions while the
   // state machine itself — and the event stream — keep advancing.
   const Params p = Params::practical(64, 4, 3, 3);
-  ColoringHot hot(1);
+  const graph::Graph hub = graph::star_graph(64);  // node 0 hears 1..63
+  ColoringHot hot(hub);
   ColoringNode node(&p, 0);
   node.attach_hot(&hot);
   Rng rng(1);

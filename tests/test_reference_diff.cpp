@@ -142,7 +142,9 @@ TEST_P(EngineDiffDrop, LossyMediumMatchesReferenceDrawForDraw) {
   for (radio::Slot t = 0; t < horizon; ++t) {
     fast.step();
     ref.step();
-    if ((t & 511) == 0) EXPECT_EQ(fast.all_decided(), ref.all_decided());
+    if ((t & 511) == 0) {
+      EXPECT_EQ(fast.all_decided(), ref.all_decided());
+    }
   }
   expect_stats_equal(fast.stats(), ref.stats());
   EXPECT_GT(fast.stats().dropped, 0u);  // the lossy path actually ran
@@ -205,7 +207,9 @@ TEST(EngineDiffDeactivate, MidRunCrashesMatchReference) {
       }
       fast.step();
       ref.step();
-      if ((t & 255) == 0) EXPECT_EQ(fast.all_decided(), ref.all_decided());
+      if ((t & 255) == 0) {
+        EXPECT_EQ(fast.all_decided(), ref.all_decided());
+      }
     }
     expect_stats_equal(fast.stats(), ref.stats());
     expect_nodes_equal(g, fast, ref);

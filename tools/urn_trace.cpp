@@ -102,11 +102,9 @@ int trace_main(int argc, char** argv) {
 
   // ---- per-kind totals ----------------------------------------------------
   std::size_t by_kind[obs::kNumEventKinds] = {};
-  obs::Slot first_slot = 0;
   obs::Slot last_slot = 0;
   for (const obs::Event& e : log.events) {
     ++by_kind[static_cast<std::size_t>(e.kind)];
-    first_slot = std::min(first_slot, e.slot);
     last_slot = std::max(last_slot, e.slot);
   }
   std::printf("slots [0, %lld]:", static_cast<long long>(last_slot));
@@ -164,8 +162,6 @@ int trace_main(int argc, char** argv) {
     std::string bad;
     if (window < 1) {
       bad = "--window must be at least 1";
-    } else if (first_slot < 0) {
-      bad = "negative slot " + std::to_string(first_slot) + " in the log";
     } else if (static_cast<std::size_t>(last_slot / window) >=
                obs::MetricsSink::kMaxWindows) {
       bad = "slot " + std::to_string(last_slot) + " is past " +
