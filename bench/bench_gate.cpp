@@ -53,10 +53,7 @@ int main(int argc, char** argv) {
   // counts only) and the differ skips `telemetry.*` keys, so this can
   // never perturb the committed baselines.
   monitored.telemetry = trace.telemetry;
-  std::optional<obs::telemetry::PoolProbe> pool_probe;
-  if (trace.telemetry != nullptr) {
-    pool_probe.emplace(*trace.telemetry, trace.resolved_jobs());
-  }
+  const exec::ExecOptions eopts{trace.jobs, 0, nullptr, trace.telemetry};
   struct GatePartial {
     std::size_t valid = 0;
     obs::RunLedger ledger;
@@ -67,7 +64,7 @@ int main(int argc, char** argv) {
     std::optional<Violation> violation;
   };
   const GatePartial gate = exec::parallel_for_trials<GatePartial>(
-      trials, {trace.jobs, 0, nullptr, pool_probe ? &*pool_probe : nullptr},
+      trials, eopts,
       [&](GatePartial& acc, std::size_t t) {
         Rng wrng(mix_seed(0xCA7EF, t));
         const auto ws =
@@ -121,7 +118,7 @@ int main(int argc, char** argv) {
   core::TraceOptions leader_opts;
   leader_opts.telemetry = trace.telemetry;
   const LeaderPartial lgate = exec::parallel_for_trials<LeaderPartial>(
-      trials, {trace.jobs, 0, nullptr, pool_probe ? &*pool_probe : nullptr},
+      trials, eopts,
       [&](LeaderPartial& acc, std::size_t t) {
         Rng wrng(mix_seed(0xCA7EB, t));
         const auto ws =

@@ -1,8 +1,9 @@
 /// \file bench_util.hpp
-/// \brief Shared helpers for the experiment binaries (E1–E15, A1–A3).
+/// \brief Shared helpers for the experiment binaries (E1–E15, A1–A3,
+///        the gate) and the `urn_sim` scenario runner.
 ///
-/// Besides parameter measurement and the banner, this provides the two
-/// observability hooks every experiment shares:
+/// Besides parameter measurement and the banner, this provides the
+/// observability plumbing every binary shares:
 ///
 ///  * `BenchSummary` — machine-readable run summaries.  Each experiment
 ///    fills one with its scenario parameters and headline metrics and
@@ -11,32 +12,35 @@
 ///    `URN_BENCH_CSV` convention of analysis::Table).  Keys are dotted
 ///    paths ("scenario.n", "medium.collisions"), values JSON scalars.
 ///
-///  * `TraceArgs` — the standard `--trace` / `--trace-bin` /
-///    `--trace-bin-ring` / `--monitor` / `--spans-out` / `--jobs` flag set
-///    that lets any experiment record one representative run as a JSONL
-///    and/or compact binary event log (both for `urn_trace`, which also
-///    re-derives the per-window metrics CSV from either; the binary one
-///    optionally ring-bounded), check the paper's invariants online
-///    (failing the binary with exit 2 on violation),
-///    capture wall-clock span timelines (runner phases + executor
-///    workers) as Chrome trace-event JSON, and fan its trial loops out
-///    across worker threads (`--jobs`, bit-identical results for every
-///    value; the resolved count is recorded as the `jobs` key of
-///    `BENCH_<name>.json`, which the regression diff skips alongside the
-///    `.ns` wall-clock keys).  The `--telemetry-out` / `--telemetry-prom`
-///    / `--telemetry-interval` flags additionally attach the live
-///    telemetry subsystem (obs/telemetry.hpp): engine and pool probes
-///    feed the global registry, and a background snapshotter exports it
-///    as a JSONL time series (`urn_top` tails it) and/or a Prometheus
-///    exposition file while the experiment runs.  The `--postmortem-dir`
-///    / `--checkpoint-every` / `--dump-on-violation` flags add postmortem
-///    checkpointing (obs/postmortem.hpp): the traced run periodically
-///    snapshots complete engine state into a bundle directory, and a
-///    monitored violation captures checkpoint + flight-recorder ring +
-///    monitor report together (inspect/resume with `urn_postmortem`).
-///    The `--explain` flag captures the representative run in memory and
-///    exports its causal latency attribution (obs/explain.hpp) as the
-///    `explain.*` key family of `BENCH_<name>.json` via `explain_emit`.
+///  * `TraceArgs` / `parse_trace_args` — the one parser for the shared
+///    flag set, registered onto the caller's `CliFlags` so a binary with
+///    flags of its own parses once:
+///     - `--trace` / `--trace-bin` / `--trace-bin-ring`: record one
+///       representative run as a JSONL and/or compact binary event log
+///       for `urn_trace` / `urn_explain` (the binary one optionally
+///       ring-bounded);
+///     - `--monitor`: check the paper's invariants online, failing the
+///       binary with exit 2 on a violation;
+///     - `--explain`: attribute the representative run's decision
+///       latency to causes (obs/explain.hpp) — `explain_report` prints
+///       the summary line, `explain_emit` also exports the `explain.*`
+///       keys;
+///     - `--spans-out`: wall-clock span timelines (runner phases,
+///       executor workers) as Chrome trace-event JSON;
+///     - `--jobs`: fan the trial loops out across worker threads,
+///       bit-identical for every value (recorded as the `jobs` key,
+///       which the regression diff skips alongside the `.ns` keys);
+///     - `--telemetry-out` / `--telemetry-prom` / `--telemetry-interval`:
+///       engine and pool probes feed the global registry, and a
+///       background snapshotter exports it as a JSONL time series
+///       (`urn_top` tails it) and/or a Prometheus exposition file;
+///     - `--postmortem-dir` / `--checkpoint-every` / `--dump-on-violation`:
+///       periodic checkpoints of the traced run into a bundle directory,
+///       plus checkpoint + flight-recorder ring + monitor report on a
+///       violation (inspect/resume with `urn_postmortem`).
+///    `run_traced` runs the representative execution with all of that,
+///    and `trace_trial0` re-runs trial 0 of a `run_core_trials` loop
+///    through it.
 ///
 ///  * `ledger_record` / `ledger_emit` — feed each trial's `RunResult`
 ///    into an `obs::RunLedger` and export the percentile summaries
@@ -49,6 +53,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -298,10 +303,12 @@ struct TraceArgs {
   }
 };
 
-/// Parse the standard flags; exits(2) on bad flags, exits(0) on --help.
+/// Register the standard flags onto `flags`, which may already hold the
+/// caller's own, parse the command line once and return the standard
+/// set; the caller reads its own flags back from `flags`.  Exits 2 on a
+/// bad flag or an unwritable destination, 0 on --help.
 inline TraceArgs parse_trace_args(int argc, const char* const* argv,
-                                  const char* program) {
-  CliFlags flags;
+                                  const char* program, CliFlags& flags) {
   flags.add_string("trace", "",
                    "record one representative run as a JSONL event log "
                    "(analyze with urn_trace)");
@@ -315,8 +322,8 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
                    "record wall-clock span timelines (runner phases, "
                    "executor workers) as Chrome trace-event JSON");
   flags.add_bool("monitor", false,
-                 "check the paper's invariants online on the traced run; "
-                 "any violation fails the binary with exit 2");
+                 "check the paper's invariants online on the traced "
+                 "run(s); any violation fails the binary with exit 2");
   flags.add_int("jobs", 1,
                 "worker threads for the trial loops (0 = all hardware "
                 "threads); results are bit-identical for every value");
@@ -342,8 +349,9 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
                  "implies --monitor on the traced run");
   flags.add_bool("explain", false,
                  "attribute the representative traced run's per-node "
-                 "decision latency to causes (obs/explain) and export the "
-                 "explain.* key family into BENCH_<name>.json");
+                 "decision latency to causes (obs/explain), print the "
+                 "summary line and export the explain.* key family into "
+                 "BENCH_<name>.json");
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
                  flags.usage(program).c_str());
@@ -431,6 +439,13 @@ inline TraceArgs parse_trace_args(int argc, const char* const* argv,
   return args;
 }
 
+/// `parse_trace_args` for a binary with no flags of its own.
+inline TraceArgs parse_trace_args(int argc, const char* const* argv,
+                                  const char* program) {
+  CliFlags flags;
+  return parse_trace_args(argc, argv, program, flags);
+}
+
 /// Run one traced execution and write the requested artifacts.
 inline core::RunResult run_traced(const TraceArgs& args,
                                   const graph::Graph& g,
@@ -466,25 +481,37 @@ inline core::RunResult run_traced(const TraceArgs& args,
   return run;
 }
 
-/// Export the representative traced run's causal latency attribution
-/// (obs/explain.hpp) as `explain.*` keys of the bench summary.  No-op
-/// unless `--explain` captured events (so call sites can wire it
-/// unconditionally).  The run parameters supply what the trace alone
-/// cannot: κ₂ and the A_i passive-listen prefix.  `urn_bench_diff` puts
-/// the whole key family into its own tolerance class (`--explain-tol`,
-/// default exact) — the attribution is a pure function of the trace, so
-/// fixed-seed baselines stay bit-identical.
-inline void explain_emit(BenchSummary& summary, const TraceArgs& args,
-                         const core::Params& params) {
+/// Attribute the representative traced run's decision latency to causes
+/// (obs/explain.hpp) and print the one-line summary.  Empty unless
+/// `--explain` captured events, so call sites can wire it
+/// unconditionally.  The run parameters supply what the trace alone
+/// cannot: κ₂ and the A_i passive-listen prefix.
+inline std::optional<obs::ExplainReport> explain_report(
+    const TraceArgs& args, const core::Params& params) {
   if (args.explain_events == nullptr || args.explain_events->events().empty()) {
-    return;
+    return std::nullopt;
   }
   obs::ExplainConfig config;
   config.kappa2 = params.kappa2;
   config.passive_slots = params.passive_slots();
-  const obs::ExplainReport report =
+  obs::ExplainReport report =
       obs::explain_trace(args.explain_events->events(), config);
-  for (const obs::ExplainEntry& e : obs::explain_entries(report)) {
+  std::printf("(explain: %zu nodes, top cause %s, accounting invariant %s "
+              "-> explain.* keys)\n",
+              report.nodes.size(), obs::cause_name(report.top_cause()),
+              report.exact_ok() ? "OK" : "FAILED");
+  return report;
+}
+
+/// `explain_report`, exported as the `explain.*` keys of the bench
+/// summary.  The attribution is a pure function of the trace, so
+/// `urn_bench_diff` compares the keys exactly like any other counter.
+inline void explain_emit(BenchSummary& summary, const TraceArgs& args,
+                         const core::Params& params) {
+  const std::optional<obs::ExplainReport> report =
+      explain_report(args, params);
+  if (!report.has_value()) return;
+  for (const obs::ExplainEntry& e : obs::explain_entries(*report)) {
     if (e.is_str) {
       summary.set(e.key, e.str);
     } else if (e.num == static_cast<double>(static_cast<std::int64_t>(e.num))) {
@@ -493,10 +520,23 @@ inline void explain_emit(BenchSummary& summary, const TraceArgs& args,
       summary.set(e.key, e.num);
     }
   }
-  std::printf("(explain: %zu nodes, top cause %s, accounting invariant %s "
-              "-> explain.* keys)\n",
-              report.nodes.size(), obs::cause_name(report.top_cause()),
-              report.exact_ok() ? "OK" : "FAILED");
+}
+
+/// Re-run trial 0 of an `analysis::run_core_trials(g, params, schedules,
+/// trials, seed0, ...)` loop through `run_traced`, and record it as the
+/// `traced.*` keys (plus `explain.*` under --explain).  Sinks never touch
+/// the RNG streams, so this run is bit-identical to the aggregated
+/// trial 0.
+inline void trace_trial0(BenchSummary& summary, const TraceArgs& args,
+                         const graph::Graph& g, const core::Params& params,
+                         const analysis::ScheduleFactory& schedules,
+                         std::uint64_t seed0) {
+  const std::uint64_t trial_seed = mix_seed(seed0, 0);
+  const core::RunResult run =
+      run_traced(args, g, params, schedules(trial_seed), trial_seed);
+  summary.set("traced.valid", run.check.valid());
+  summary.set_medium("traced", run.medium);
+  explain_emit(summary, args, params);
 }
 
 /// Feed one trial's headline metrics into the cross-run ledger.

@@ -23,8 +23,6 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
-#include <optional>
-
 int main(int argc, char** argv) {
   using namespace urn;
   const bench::TraceArgs trace = bench::parse_trace_args(argc, argv, "e15");
@@ -33,12 +31,7 @@ int main(int argc, char** argv) {
   // --telemetry-*: the hand-rolled trial loops below feed the global
   // registry via engine probes, and the pool reports utilization.
   // Probes read counts only, so results stay bit-identical.
-  std::optional<obs::telemetry::PoolProbe> pool_probe;
-  if (trace.telemetry != nullptr) {
-    pool_probe.emplace(*trace.telemetry, trace.resolved_jobs());
-  }
-  const exec::ExecOptions eopts{trace.jobs, 0, nullptr,
-                                pool_probe ? &*pool_probe : nullptr};
+  const exec::ExecOptions eopts{trace.jobs, 0, nullptr, trace.telemetry};
 
   Rng rng(0xE15);
   const auto net = graph::random_udg(144, 8.0, 1.5, rng);

@@ -34,10 +34,11 @@ int main(int argc, char** argv) {
     Rng rng(mix_seed(0xE1, n));
     const auto net = graph::random_udg(n, side, 1.5, rng);
     const auto mp = bench::measured_params(net.graph, n > 300 ? 64 : 0);
+    const auto schedules =
+        analysis::uniform_schedule(n, 2 * mp.params.threshold());
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params,
-        analysis::uniform_schedule(n, 2 * mp.params.threshold()), trials,
-        mix_seed(0xE1F0, n), trace.exec());
+        net.graph, mp.params, schedules, trials, mix_seed(0xE1F0, n),
+        trace.exec());
     table.add_row({analysis::Table::num(static_cast<std::uint64_t>(n)),
                    analysis::Table::num(static_cast<std::uint64_t>(mp.delta)),
                    analysis::Table::num(static_cast<std::uint64_t>(mp.kappa1)),
@@ -60,18 +61,11 @@ int main(int argc, char** argv) {
     summary.set(prefix + ".mean_latency", agg.mean_latency.mean());
     summary.set(prefix + ".max_latency", agg.max_latency.max());
 
-    // --trace / --trace-bin: re-run trial 0 of the largest size with a
-    // live sink.  Sinks never touch the RNG streams, so this run is
-    // bit-identical to the one aggregated above.
+    // --trace / --trace-bin / --monitor / --explain: re-run trial 0 of
+    // the largest size with live sinks.
     if (trace.enabled() && n == 512u) {
-      const std::uint64_t trial_seed = mix_seed(mix_seed(0xE1F0, n), 0);
-      const auto schedule = analysis::uniform_schedule(
-          n, 2 * mp.params.threshold())(trial_seed);
-      const auto run = bench::run_traced(trace, net.graph, mp.params,
-                                         schedule, trial_seed);
-      summary.set("traced.valid", run.check.valid());
-      summary.set_medium("traced", run.medium);
-      bench::explain_emit(summary, trace, mp.params);
+      bench::trace_trial0(summary, trace, net.graph, mp.params, schedules,
+                          mix_seed(0xE1F0, n));
     }
   }
   table.emit();

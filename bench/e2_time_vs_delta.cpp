@@ -28,16 +28,18 @@ int main(int argc, char** argv) {
   table.set_header({"side", "Delta", "k2", "mean_T", "p95_T", "max_T",
                     "T/(Delta*ln n)", "valid"});
 
+  bench::BenchSummary summary("e2_time_vs_delta");
   std::vector<double> xs, ys;
   for (double side : {16.0, 13.0, 11.0, 9.5, 8.0, 7.0}) {
     Rng rng(mix_seed(0xE2, static_cast<std::uint64_t>(side * 10)));
     const auto net = graph::random_udg(n, side, 1.5, rng);
     const auto mp = bench::measured_params(net.graph, 48);
+    const auto schedules =
+        analysis::uniform_schedule(n, 2 * mp.params.threshold());
+    const std::uint64_t seed0 =
+        mix_seed(0xE2F0, static_cast<std::uint64_t>(side * 10));
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params,
-        analysis::uniform_schedule(n, 2 * mp.params.threshold()), trials,
-        mix_seed(0xE2F0, static_cast<std::uint64_t>(side * 10)),
-        trace.exec());
+        net.graph, mp.params, schedules, trials, seed0, trace.exec());
     const double logn = std::log(static_cast<double>(n));
     const double normalized =
         agg.mean_latency.mean() / (mp.delta * logn);
@@ -52,6 +54,13 @@ int main(int argc, char** argv) {
          analysis::Table::num(agg.max_latency.max(), 0),
          analysis::Table::num(normalized, 1),
          analysis::Table::num(agg.valid_fraction(), 2)});
+
+    // --trace / --trace-bin / --monitor / --explain: re-run trial 0 of
+    // the densest deployment (side 7, the largest Delta) with live sinks.
+    if (trace.enabled() && side == 7.0) {
+      bench::trace_trial0(summary, trace, net.graph, mp.params, schedules,
+                          seed0);
+    }
   }
   table.emit();
 
@@ -59,7 +68,6 @@ int main(int argc, char** argv) {
   std::printf("Linear fit of mean T against Delta*ln n: slope=%.1f "
               "intercept=%.0f R^2=%.3f\n",
               fit.slope, fit.intercept, fit.r_squared);
-  bench::BenchSummary summary("e2_time_vs_delta");
   summary.set("fit.slope", fit.slope);
   summary.set("fit.r_squared", fit.r_squared);
   summary.set("trials", static_cast<std::uint64_t>(trials));

@@ -92,13 +92,9 @@ int main(int argc, char** argv) {
     // --trace / --trace-bin: record trial 0 of the adversarial
     // wavefront pattern, the most interesting schedule of the set.
     if (trace.enabled() && std::string(p.name) == "wavefront") {
-      const std::uint64_t trial_seed = mix_seed(0xE6F0, 0);
-      const auto run = bench::run_traced(trace, net.graph, mp.params,
-                                         p.factory(trial_seed), trial_seed);
       summary.set("traced.pattern", p.name);
-      summary.set("traced.valid", run.check.valid());
-      summary.set_medium("traced", run.medium);
-      bench::explain_emit(summary, trace, mp.params);
+      bench::trace_trial0(summary, trace, net.graph, mp.params, p.factory,
+                          0xE6F0);
     }
   }
   table.emit();

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   bench::banner("E8", "obstacle BIGs and unit ball graphs (Cor 3, Lemma 9)");
 
   const std::size_t trials = 6;
+  bench::BenchSummary summary("e8_big");
 
   analysis::Table t1("e8_obstacles",
                      "E8a: obstacle BIGs — walls cut UDG links "
@@ -33,10 +34,11 @@ int main(int argc, char** argv) {
     const auto net =
         graph::random_obstacle_big(160, 10.0, 1.5, std::move(segs), rng);
     const auto mp = bench::measured_params(net.graph);
+    const auto schedules =
+        analysis::uniform_schedule(160, 2 * mp.params.threshold());
     const auto agg = analysis::run_core_trials(
-        net.graph, mp.params,
-        analysis::uniform_schedule(160, 2 * mp.params.threshold()), trials,
-        mix_seed(0xE8F0, walls), trace.exec());
+        net.graph, mp.params, schedules, trials, mix_seed(0xE8F0, walls),
+        trace.exec());
     t1.add_row(
         {analysis::Table::num(static_cast<std::uint64_t>(walls)),
          analysis::Table::num(static_cast<std::uint64_t>(net.graph.num_edges())),
@@ -46,6 +48,13 @@ int main(int argc, char** argv) {
          analysis::Table::num(agg.valid_fraction(), 2),
          analysis::Table::num(agg.mean_latency.mean(), 0),
          analysis::Table::num(agg.max_color.mean(), 0)});
+
+    // --trace / --trace-bin / --monitor / --explain: re-run trial 0 of
+    // the most obstructed field (90 walls) with live sinks.
+    if (trace.enabled() && walls == 90u) {
+      bench::trace_trial0(summary, trace, net.graph, mp.params, schedules,
+                          mix_seed(0xE8F0, walls));
+    }
   }
   t1.emit();
 
@@ -76,7 +85,6 @@ int main(int argc, char** argv) {
              static_cast<std::uint64_t>(mp.kappa2 * mp.delta))});
   }
   t2.emit();
-  bench::BenchSummary summary("e8_big");
   summary.set("trials", static_cast<std::uint64_t>(trials));
   summary.set("jobs", static_cast<std::uint64_t>(trace.resolved_jobs()));
   summary.add_profile();

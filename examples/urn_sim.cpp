@@ -7,19 +7,22 @@
 ///   urn_sim --topology clustered --wake wavefront --seed 3
 ///   urn_sim --topology obstacles --walls 40 --tdma
 ///   urn_sim --analytical --n 48 --side 4.5      # the paper's constants
+///   urn_sim --trials 8 --jobs 0 --spans-out spans.json --explain
+///
+/// The trace, monitor, telemetry, postmortem, --jobs, --spans-out and
+/// --explain flags are the experiment binaries' shared set
+/// (bench/bench_util.hpp).
 
 #include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "analysis/experiment.hpp"
+#include "bench_util.hpp"
 #include "core/runner.hpp"
 #include "core/tdma.hpp"
 #include "exec/chunk.hpp"
 #include "exec/parallel.hpp"
-#include "obs/postmortem.hpp"
-#include "obs/telemetry.hpp"
 #include "geom/spatial_grid.hpp"
 #include "graph/generators.hpp"
 #include "graph/independence.hpp"
@@ -96,55 +99,16 @@ int main(int argc, char** argv) {
   flags.add_string("wake", "uniform",
                    "sync | uniform | sequential | poisson | wavefront");
   flags.add_int("trials", 1, "independent trials to run");
-  flags.add_int("jobs", 1,
-                "worker threads for the trial loop (0 = all hardware "
-                "threads); results are bit-identical for every value");
   flags.add_int("seed", 1, "master seed");
   flags.add_bool("analytical", false,
                  "use the paper's analytical constants (slow!)");
   flags.add_double("scale", 1.0, "scale factor on the protocol constants");
   flags.add_bool("tdma", false, "derive and audit a TDMA schedule");
   flags.add_bool("verbose", false, "per-trial details");
-  flags.add_string("trace", "",
-                   "record trial 0 as a JSONL event log (see urn_trace)");
-  flags.add_string("trace-bin", "",
-                   "record trial 0 as a compact binary event log "
-                   "(urn_trace auto-detects the format)");
-  flags.add_int("trace-bin-ring", 0,
-                "bound the binary log to the most recent N events "
-                "(0 = keep every event)");
-  flags.add_bool("monitor", false,
-                 "check the paper's invariants online on every trial; any "
-                 "violation fails the run with exit 2");
-  flags.add_string("telemetry-out", "",
-                   "stream live telemetry snapshots to this JSONL file "
-                   "(watch with urn_top --in FILE)");
-  flags.add_string("telemetry-prom", "",
-                   "rewrite this file as Prometheus text exposition on "
-                   "every telemetry snapshot");
-  flags.add_int("telemetry-interval", 1000,
-                "telemetry snapshot period in milliseconds");
-  flags.add_string("postmortem-dir", "",
-                   "write per-trial postmortem bundles (checkpoint + "
-                   "flight-recorder ring + manifest) under this directory; "
-                   "inspect/resume with urn_postmortem");
-  flags.add_int("checkpoint-every", 0,
-                "checkpoint period in slots for the postmortem bundles "
-                "(0 = one snapshot at the start of each trial)");
-  flags.add_bool("dump-on-violation", false,
-                 "capture a full postmortem bundle (checkpoint + ring + "
-                 "monitor report) for a trial whose invariant monitor "
-                 "fires; implies --monitor");
-
-  if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
-                 flags.usage("urn_sim").c_str());
-    return 2;
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.usage("urn_sim").c_str());
-    return 0;
-  }
+  // Trial 0 carries the event logs and the explain capture; the monitor,
+  // probes and postmortem bundles apply to every trial.
+  const bench::TraceArgs args =
+      bench::parse_trace_args(argc, argv, "urn_sim", flags);
 
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   Rng rng(seed);
@@ -168,70 +132,10 @@ int main(int argc, char** argv) {
               params.alpha, params.beta, params.gamma, params.sigma,
               static_cast<long long>(params.threshold()));
 
-  core::TraceOptions trace;
-  trace.events_jsonl = flags.get_string("trace");
-  trace.events_bin = flags.get_string("trace-bin");
-  trace.bin_ring = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("trace-bin-ring")));
-  // Postmortem bundles: each trial writes its own subdirectory
-  // (<dir>/trialNNNN) so the parallel trial loop never shares files.
-  core::PostmortemOptions postmortem;
-  postmortem.dir = flags.get_string("postmortem-dir");
-  postmortem.checkpoint_every =
-      std::max<std::int64_t>(0, flags.get_int("checkpoint-every"));
-  postmortem.dump_on_violation = flags.get_bool("dump-on-violation");
-  if (postmortem.dir.empty() &&
-      (postmortem.checkpoint_every > 0 || postmortem.dump_on_violation)) {
-    postmortem.dir = "postmortem";
-  }
-  const bool monitor =
-      flags.get_bool("monitor") || postmortem.dump_on_violation;
-  const bool tracing = !trace.events_jsonl.empty() || !trace.events_bin.empty();
-  // Reject unwritable destinations up front rather than aborting mid-run.
-  for (const std::string& path :
-       {trace.events_jsonl, trace.events_bin,
-        flags.get_string("telemetry-out"),
-        flags.get_string("telemetry-prom")}) {
-    if (path.empty()) continue;
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 2;
-    }
-    std::fclose(f);
-  }
-  if (postmortem.enabled() &&
-      !obs::postmortem::ensure_dir(postmortem.dir)) {
-    std::fprintf(stderr, "error: cannot write %s\n", postmortem.dir.c_str());
-    return 2;
-  }
-
   const auto trials = static_cast<std::size_t>(flags.get_int("trials"));
-  const auto jobs = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("jobs")));
   const bool verbose = flags.get_bool("verbose");
-
-  // Live telemetry: every trial runs with an engine probe feeding the
-  // global registry (events-off engine path — see core::TraceOptions),
-  // the pool reports per-worker utilization, and a background snapshotter
-  // streams the registry to JSONL / Prometheus.  Probes read counts only,
-  // so results stay bit-identical to an uninstrumented run.
-  obs::telemetry::Registry* telemetry = nullptr;
-  std::optional<obs::telemetry::PoolProbe> pool_probe;
-  std::optional<obs::telemetry::Snapshotter> snapshotter;
-  const std::string telemetry_out = flags.get_string("telemetry-out");
-  const std::string telemetry_prom = flags.get_string("telemetry-prom");
-  if (!telemetry_out.empty() || !telemetry_prom.empty()) {
-    telemetry = &obs::telemetry::Registry::global();
-    telemetry->clear();
-    pool_probe.emplace(*telemetry, exec::resolve_jobs(jobs));
-    obs::telemetry::SnapshotterOptions sopts;
-    sopts.jsonl_path = telemetry_out;
-    sopts.prom_path = telemetry_prom;
-    sopts.interval_ms = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(1, flags.get_int("telemetry-interval")));
-    snapshotter.emplace(*telemetry, sopts);
-  }
+  const core::PostmortemOptions postmortem = args.postmortem();
+  const bool monitor = args.monitor || postmortem.dump_on_violation;
 
   // The trial loop fans out over the deterministic executor: each trial
   // is a pure function of mix_seed(seed, t), workers own their sinks and
@@ -243,7 +147,7 @@ int main(int argc, char** argv) {
     std::uint64_t monitored_events = 0;
     Samples mean_lat, max_lat, colors;
     std::vector<std::string> verbose_lines;
-    std::optional<core::RunResult> trial0;  // carries trace artifacts
+    std::uint64_t trial0_events = 0;        // events in the trace logs
     std::optional<core::RunResult> last;    // feeds the --tdma audit
     struct Violation {
       std::size_t trial;
@@ -253,22 +157,23 @@ int main(int argc, char** argv) {
     std::optional<Violation> violation;
   };
   const SimPartial sim = exec::parallel_for_trials<SimPartial>(
-      trials, {jobs, 0, nullptr, pool_probe ? &*pool_probe : nullptr},
+      trials, {args.jobs, 0, args.spans.get(), args.telemetry},
       [&](SimPartial& acc, std::size_t t) {
         Rng wrng(mix_seed(seed, 1000 + t));
         const auto schedule = build_wake(flags, net, params, wrng);
-        // Trial 0 carries the event logs; --monitor and
-        // --telemetry-* apply to every trial.  Sinks and probes never
-        // touch the RNG streams, so traced and monitored runs are
-        // bit-identical to what run_coloring would have produced.
-        core::TraceOptions topts =
-            (tracing && t == 0) ? trace : core::TraceOptions{};
-        topts.monitor = monitor;
-        topts.telemetry = telemetry;
+        // Sinks and probes never touch the RNG streams, so traced and
+        // monitored runs are bit-identical to what run_coloring would
+        // have produced.  --spans-out records the executor's worker
+        // spans only.
+        core::TraceOptions topts = args.options();
+        topts.spans = nullptr;
+        if (t != 0) {
+          topts.events_jsonl.clear();
+          topts.events_bin.clear();
+          topts.memory = nullptr;
+        }
         if (postmortem.enabled()) {
-          topts.postmortem = postmortem;
-          topts.postmortem.dir =
-              postmortem.dir + "/" + exec::trial_tag(t);
+          topts.postmortem.dir = postmortem.dir + "/" + exec::trial_tag(t);
           topts.postmortem.trial = t;
         }
         const auto run = core::run_coloring_traced(
@@ -294,7 +199,7 @@ int main(int argc, char** argv) {
                         run.num_leaders, run.max_color, run.mean_latency());
           acc.verbose_lines.emplace_back(line);
         }
-        if (t == 0) acc.trial0 = run;
+        if (t == 0) acc.trial0_events = run.events_recorded;
         acc.last = run;
       },
       [](SimPartial& into, SimPartial&& chunk) {
@@ -306,7 +211,7 @@ int main(int argc, char** argv) {
         for (std::string& line : chunk.verbose_lines) {
           into.verbose_lines.push_back(std::move(line));
         }
-        if (chunk.trial0.has_value()) into.trial0 = std::move(chunk.trial0);
+        into.trial0_events += chunk.trial0_events;
         if (chunk.last.has_value()) into.last = std::move(chunk.last);
         if (chunk.violation.has_value() &&
             (!into.violation.has_value() ||
@@ -315,20 +220,6 @@ int main(int argc, char** argv) {
         }
       });
 
-  if (snapshotter.has_value()) {
-    snapshotter->stop();  // flush a final snapshot before reporting
-    if (!telemetry_out.empty()) {
-      std::printf("(telemetry: %llu snapshots -> %s; watch live with "
-                  "urn_top --in %s)\n",
-                  static_cast<unsigned long long>(
-                      snapshotter->snapshots_taken()),
-                  telemetry_out.c_str(), telemetry_out.c_str());
-    }
-    if (!telemetry_prom.empty()) {
-      std::printf("(telemetry: prometheus exposition -> %s)\n",
-                  telemetry_prom.c_str());
-    }
-  }
   if (sim.violation.has_value()) {
     std::fprintf(stderr, "trial %zu: INVARIANT VIOLATIONS\n",
                  sim.violation->trial);
@@ -341,15 +232,13 @@ int main(int argc, char** argv) {
     }
     return 2;
   }
-  if (tracing && sim.trial0.has_value()) {
-    const core::RunResult& run = *sim.trial0;
-    for (const std::string& out : {trace.events_jsonl, trace.events_bin}) {
-      if (out.empty()) continue;
-      std::printf("(trace: %llu events -> %s)\n",
-                  static_cast<unsigned long long>(run.events_recorded),
-                  out.c_str());
-    }
+  for (const std::string& out : {args.trace_path, args.trace_bin_path}) {
+    if (out.empty()) continue;
+    std::printf("(trace: %llu events -> %s)\n",
+                static_cast<unsigned long long>(sim.trial0_events),
+                out.c_str());
   }
+  bench::explain_report(args, params);
   for (const std::string& line : sim.verbose_lines) {
     std::printf("%s\n", line.c_str());
   }

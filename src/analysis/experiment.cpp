@@ -5,7 +5,6 @@
 
 #include "exec/chunk.hpp"
 #include "exec/parallel.hpp"
-#include "obs/telemetry.hpp"
 #include "support/rng.hpp"
 
 namespace urn::analysis {
@@ -109,17 +108,12 @@ CoreAggregate run_core_trials(const graph::Graph& g,
   core::TraceOptions topts;
   topts.monitor = exec.monitor;
   topts.telemetry = exec.telemetry;
-  // One pool probe for the whole trial loop; per-run engine probes are
-  // constructed inside run_coloring_traced (worker-local, like the
-  // monitor — sharded counters make the shared registry safe).
-  std::optional<obs::telemetry::PoolProbe> pool_probe;
-  if (exec.telemetry != nullptr) {
-    pool_probe.emplace(*exec.telemetry, exec::resolve_jobs(exec.jobs));
-  }
+  // Per-run engine probes are constructed inside run_coloring_traced
+  // (worker-local, like the monitor — sharded counters make the shared
+  // registry safe).
   return exec::parallel_for_trials<CoreAggregate>(
       trials,
-      exec::ExecOptions{exec.jobs, exec.chunk, exec.spans,
-                        pool_probe ? &*pool_probe : nullptr},
+      exec::ExecOptions{exec.jobs, exec.chunk, exec.spans, exec.telemetry},
       [&](CoreAggregate& agg, std::size_t t) {
         const std::uint64_t trial_seed = mix_seed(seed0, t);
         const radio::WakeSchedule schedule = schedules(trial_seed);
@@ -257,14 +251,9 @@ LeaderAggregate run_leader_trials(const graph::Graph& g,
   core::TraceOptions topts;
   topts.monitor = exec.monitor;
   topts.telemetry = exec.telemetry;
-  std::optional<obs::telemetry::PoolProbe> pool_probe;
-  if (exec.telemetry != nullptr) {
-    pool_probe.emplace(*exec.telemetry, exec::resolve_jobs(exec.jobs));
-  }
   return exec::parallel_for_trials<LeaderAggregate>(
       trials,
-      exec::ExecOptions{exec.jobs, exec.chunk, exec.spans,
-                        pool_probe ? &*pool_probe : nullptr},
+      exec::ExecOptions{exec.jobs, exec.chunk, exec.spans, exec.telemetry},
       [&](LeaderAggregate& agg, std::size_t t) {
         const std::uint64_t trial_seed = mix_seed(seed0, t);
         const radio::WakeSchedule schedule = schedules(trial_seed);

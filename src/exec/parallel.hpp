@@ -36,12 +36,14 @@
 
 #include <cstddef>
 #include <cstdio>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "exec/chunk.hpp"
 #include "exec/pool.hpp"
 #include "obs/span.hpp"
+#include "obs/telemetry.hpp"
 
 namespace urn::exec {
 
@@ -58,10 +60,10 @@ struct ExecOptions {
   /// with or without one.  Not owned; must outlive the call.
   obs::SpanSink* spans = nullptr;
   /// Optional pool telemetry: per-worker utilization / chunks claimed /
-  /// queue wait, reported through `TrialPool::run` (see pool.hpp).  Like
-  /// spans, never feeds back into results.  Not owned; must outlive the
-  /// call.
-  obs::telemetry::PoolProbe* telemetry = nullptr;
+  /// queue wait land in this registry through an `obs::telemetry::PoolProbe`
+  /// built for the call (see pool.hpp).  Like spans, never feeds back into
+  /// results.  Not owned; must outlive the call.
+  obs::telemetry::Registry* telemetry = nullptr;
 };
 
 template <typename Partial, typename Body, typename Merge>
@@ -75,6 +77,10 @@ template <typename Partial, typename Body, typename Merge>
 
   std::vector<Partial> partials(plan.size());
   TrialPool pool(jobs);
+  // The probe only resolves its counters by name, so one per call
+  // accumulates exactly as one shared across calls would.
+  std::optional<obs::telemetry::PoolProbe> probe;
+  if (options.telemetry != nullptr) probe.emplace(*options.telemetry, jobs);
   if (options.spans != nullptr) {
     for (std::size_t w = 0; w < jobs; ++w) {
       char label[32];
@@ -98,7 +104,7 @@ template <typename Partial, typename Body, typename Merge>
               options.spans->now_ns() - t0, static_cast<std::int64_t>(ci));
         }
       },
-      options.telemetry);
+      probe ? &*probe : nullptr);
 
   Partial out{};
   for (Partial& partial : partials) merge(out, std::move(partial));

@@ -92,7 +92,6 @@ class BinSink {
   [[nodiscard]] std::uint64_t retained() const;
   /// File bytes emitted so far, header included.
   [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
-  [[nodiscard]] bool ring_mode() const { return capacity_ > 0; }
 
  private:
   static constexpr std::size_t kFlushThreshold = 1 << 16;

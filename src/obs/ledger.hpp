@@ -49,7 +49,6 @@ class RunLedger {
   void merge(const RunLedger& other);
 
   [[nodiscard]] bool empty() const { return samples_.empty(); }
-  [[nodiscard]] std::size_t num_metrics() const { return samples_.size(); }
   /// Trials recorded for `metric` (0 if unknown).
   [[nodiscard]] std::size_t trials(std::string_view metric) const;
 

@@ -1,7 +1,7 @@
 /// \file regress.hpp
 /// \brief Bench regression comparison: parse the flat `BENCH_<name>.json`
 ///        summaries the experiment binaries emit and diff a fresh run
-///        against a committed baseline with per-metric tolerances.
+///        against a committed baseline, exactly or within one tolerance.
 ///
 /// The summaries are deliberately flat ({"dotted.key": scalar, ...}), so
 /// no general JSON machinery is needed: keys map to either a number, a
@@ -16,11 +16,10 @@
 /// that never affects the measured statistics), and "telemetry." (live
 /// telemetry exports: a mix of deterministic counts, wall-clock totals
 /// and scheduling-dependent pool utilization — reported for humans, never
-/// gated on, so telemetry-enabled bench runs can't flake the gate).  Keys
-/// containing a `rate_substrings` entry (default ".noderate.", the
-/// whole-run throughput family) form a third class between "exact" and
-/// "skipped": present-and-numeric is required, and an optional one-sided
-/// `rate_rel_tol` flags throughput drops beyond the tolerance.
+/// gated on, so telemetry-enabled bench runs can't flake the gate).  There
+/// is no other class: wall-clock rates have no place in a fixed-seed
+/// summary (perfbench measures speed), and the `explain.*` attribution
+/// keys are a pure function of the trace, so they compare exactly too.
 ///
 /// This is the library half of the `urn_bench_diff` CLI and the
 /// `bench_regression` CTest gate.
@@ -61,27 +60,6 @@ struct DiffOptions {
   double abs_tol = 0.0;  ///< allowed absolute drift
   /// Keys containing any of these substrings are not compared.
   std::vector<std::string> skip_substrings = {".ns", "jobs", "telemetry."};
-  /// Keys containing any of these substrings are *rates* (throughput
-  /// measurements such as node-slots/s): legitimately machine- and
-  /// load-dependent, so exact comparison is meaningless, but silently
-  /// losing one — or regressing it — is not.  A rate key must exist in
-  /// the fresh run and be numeric; with `rate_rel_tol > 0` the fresh
-  /// value must additionally not fall below `baseline·(1 − rate_rel_tol)`
-  /// (one-sided: a faster run is never a regression).
-  std::vector<std::string> rate_substrings = {".noderate."};
-  double rate_rel_tol = 0.0;  ///< 0: presence + numeric check only
-  /// Keys containing any of these substrings are *attribution* metrics
-  /// (the `explain.*` family): slot totals and share-of-total ratios
-  /// from the cause-attribution pass.  Shares are ratios in [0, 1] —
-  /// not rates — so the class gets its own two-sided tolerance:
-  /// numeric values compare within `explain_tol + explain_tol·|base|`
-  /// (the absolute term keeps near-zero shares comparable).  With
-  /// `explain_tol == 0` the class is exact — the committed gate stays
-  /// bit-identical.  Non-numeric explain values (e.g. the top-cause
-  /// name) must match exactly at tol 0 and need only be present
-  /// otherwise.
-  std::vector<std::string> explain_substrings = {"explain."};
-  double explain_tol = 0.0;
 };
 
 /// One detected regression.

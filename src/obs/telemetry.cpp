@@ -79,13 +79,6 @@ double HistogramSnapshot::quantile(double q) const {
   return static_cast<double>(max_bound());
 }
 
-std::uint64_t HistogramSnapshot::min_bound() const {
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-    if (buckets[b] != 0) return bucket_lower(b);
-  }
-  return 0;
-}
-
 std::uint64_t HistogramSnapshot::max_bound() const {
   for (std::size_t b = kHistogramBuckets; b-- > 0;) {
     if (buckets[b] != 0) return bucket_upper(b);

@@ -95,11 +95,6 @@ class Counter {
   void add(std::uint64_t delta) {
     shards_[shard_index()].v.fetch_add(delta, std::memory_order_relaxed);
   }
-  /// Explicit-shard add (partition tests; never needed by instrumentation).
-  void add_to_shard(std::size_t shard, std::uint64_t delta) {
-    shards_[shard & (kShards - 1)].v.fetch_add(delta,
-                                               std::memory_order_relaxed);
-  }
   /// Sum over all shards (sums commute, so this is exact at quiescence
   /// and a consistent-enough sample while writers run).
   [[nodiscard]] std::uint64_t value() const {
@@ -182,8 +177,6 @@ struct HistogramSnapshot {
   /// Quantile estimate (q in [0, 1]): linear interpolation inside the
   /// bucket containing the q-th recorded value; exact for bucket edges.
   [[nodiscard]] double quantile(double q) const;
-  /// Lower edge of the lowest non-empty bucket (0 when empty).
-  [[nodiscard]] std::uint64_t min_bound() const;
   /// Upper edge of the highest non-empty bucket (0 when empty).
   [[nodiscard]] std::uint64_t max_bound() const;
 };
@@ -233,6 +226,9 @@ struct Snapshot {
   std::vector<std::pair<std::string, std::int64_t>> gauges;
   std::vector<std::pair<std::string, HistogramSnapshot>> histograms;
 
+  /// Name lookups (null when absent).  Only the tests read a snapshot
+  /// by name; every exporter walks the vectors.  They stay here because
+  /// a test-local copy would only move the code.
   [[nodiscard]] const std::uint64_t* find_counter(std::string_view name) const;
   [[nodiscard]] const std::int64_t* find_gauge(std::string_view name) const;
   [[nodiscard]] const HistogramSnapshot* find_histogram(

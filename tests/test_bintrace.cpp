@@ -229,7 +229,6 @@ TEST(BinSink, RingModeRetainsExactlyTheLastNEvents) {
   {
     BinSink sink(path, kCap);
     ASSERT_TRUE(sink.ok());
-    EXPECT_TRUE(sink.ring_mode());
     for (Slot s = 0; s < kTotal; ++s) {
       sink.record(Event::collision(s, static_cast<NodeId>(s & 7)));
     }

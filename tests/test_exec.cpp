@@ -259,7 +259,6 @@ TEST(RunLedgerMerge, PartitionedLedgersEqualSerialLedger) {
       i += len;
     }
 
-    ASSERT_EQ(merged.num_metrics(), whole.num_metrics());
     for (const char* m : metrics) {
       const obs::LedgerSummary a = merged.summarize(m);
       const obs::LedgerSummary b = whole.summarize(m);
@@ -279,7 +278,6 @@ TEST(RunLedgerMerge, AdoptsUnknownMetrics) {
   obs::RunLedger b;
   b.add("y", 2.0);
   a.merge(b);
-  EXPECT_EQ(a.num_metrics(), 2u);
   EXPECT_EQ(a.trials("y"), 1u);
 }
 

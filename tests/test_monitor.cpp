@@ -397,131 +397,26 @@ TEST(BenchRegress, StringVsNumberNeverEqual) {
   EXPECT_FALSE(diff_bench(base, fresh).ok());
 }
 
-// ---- rate-class keys (throughput metrics) --------------------------------
-
-TEST(BenchRegress, RateKeysNeverComparedExactly) {
-  // Machine-dependent throughput halves; with the default rate class the
-  // key is checked for presence + numeric only, never for equality.
-  const BenchDoc base =
-      parse_bench_json("{\"engine.noderate.udg\": 200.0, \"x\": 1}");
-  const BenchDoc fresh =
-      parse_bench_json("{\"engine.noderate.udg\": 100.0, \"x\": 1}");
-  const DiffReport r = diff_bench(base, fresh);
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.compared, 2u);  // rate keys count as compared, not skipped
-  EXPECT_EQ(r.skipped, 0u);
-}
-
-TEST(BenchRegress, MissingRateKeyIsARegression) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 1}");
-  const DiffReport r = diff_bench(base, fresh);
-  ASSERT_EQ(r.regressions.size(), 1u);
-  EXPECT_NE(r.regressions[0].what.find("missing"), std::string::npos);
-}
-
-TEST(BenchRegress, NonNumericRateKeyIsARegression) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc fresh =
-      parse_bench_json("{\"engine.noderate.udg\": \"fast\"}");
-  const DiffReport r = diff_bench(base, fresh);
-  ASSERT_EQ(r.regressions.size(), 1u);
-  EXPECT_NE(r.regressions[0].what.find("not numeric"), std::string::npos);
-}
-
-TEST(BenchRegress, RateTolFlagsOneSidedDrops) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc slower = parse_bench_json("{\"engine.noderate.udg\": 120.0}");
-  const BenchDoc faster = parse_bench_json("{\"engine.noderate.udg\": 900.0}");
-  DiffOptions opt;
-  opt.rate_rel_tol = 0.3;  // floor = 140.0
-  EXPECT_FALSE(diff_bench(base, slower, opt).ok());
-  EXPECT_TRUE(diff_bench(base, faster, opt).ok());  // faster is never wrong
-  const BenchDoc at_floor =
-      parse_bench_json("{\"engine.noderate.udg\": 140.0}");
-  EXPECT_TRUE(diff_bench(base, at_floor, opt).ok());  // floor is inclusive
-}
-
-TEST(BenchRegress, EmptyRateClassFallsBackToExact) {
-  const BenchDoc base = parse_bench_json("{\"engine.noderate.udg\": 200.0}");
-  const BenchDoc fresh = parse_bench_json("{\"engine.noderate.udg\": 100.0}");
-  DiffOptions opt;
-  opt.rate_substrings.clear();
-  EXPECT_FALSE(diff_bench(base, fresh, opt).ok());
-}
-
-// ---- explain-class keys (attribution metrics) ----------------------------
-
-TEST(BenchRegress, ExplainKeysExactByDefault) {
-  // With the default explain_tol = 0 the class degrades to an exact
-  // comparison, so the committed gate stays bit-identical.
-  const BenchDoc base =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.25}");
-  const BenchDoc same =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.25}");
-  const BenchDoc drifted =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.26}");
-  EXPECT_TRUE(diff_bench(base, same).ok());
-  EXPECT_FALSE(diff_bench(base, drifted).ok());
-}
-
-TEST(BenchRegress, ExplainTolAllowsTwoSidedDrift) {
-  const BenchDoc base =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.25}");
-  const BenchDoc up =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.30}");
-  const BenchDoc down =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.20}");
-  const BenchDoc far_off =
-      parse_bench_json("{\"explain.cause.collision.share\": 0.60}");
-  DiffOptions opt;
-  opt.explain_tol = 0.1;  // allowed = 0.1 + 0.1*0.25 = 0.125, both sides
-  EXPECT_TRUE(diff_bench(base, up, opt).ok());
-  EXPECT_TRUE(diff_bench(base, down, opt).ok());
-  EXPECT_FALSE(diff_bench(base, far_off, opt).ok());
-}
-
-TEST(BenchRegress, ExplainTolDoesNotLoosenOtherMetrics) {
-  // The explain tolerance must not leak into the exact class.
-  const BenchDoc base = parse_bench_json(
-      "{\"explain.total_stall\": 100, \"coloring.latency.max\": 100}");
-  const BenchDoc fresh = parse_bench_json(
-      "{\"explain.total_stall\": 105, \"coloring.latency.max\": 105}");
-  DiffOptions opt;
-  opt.explain_tol = 0.1;  // allowed = 0.1 + 10 = 10.1 for explain keys
-  const DiffReport r = diff_bench(base, fresh, opt);
-  ASSERT_EQ(r.regressions.size(), 1u);
-  EXPECT_EQ(r.regressions[0].key, "coloring.latency.max");
-}
-
-TEST(BenchRegress, ExplainStringKeyExactAtZeroTol) {
-  const BenchDoc base =
+TEST(BenchRegress, NoderateAndExplainKeysCompareExactly) {
+  // No key family has a class of its own: a throughput-looking key and
+  // an attribution key are compared like every other counter, so any
+  // drift in either is a regression under default options.
+  for (const char* key :
+       {"engine.noderate.udg", "explain.cause.collision.share"}) {
+    const std::string base_text = std::string("{\"") + key + "\": 0.25}";
+    const std::string drift_text = std::string("{\"") + key + "\": 0.26}";
+    const BenchDoc base = parse_bench_json(base_text);
+    EXPECT_TRUE(diff_bench(base, base).ok()) << key;
+    const DiffReport r = diff_bench(base, parse_bench_json(drift_text));
+    ASSERT_EQ(r.regressions.size(), 1u) << key;
+    EXPECT_EQ(r.regressions[0].key, key);
+    EXPECT_EQ(r.compared, 1u);
+  }
+  const BenchDoc top =
       parse_bench_json("{\"explain.top_cause\": \"collision\"}");
   const BenchDoc changed =
       parse_bench_json("{\"explain.top_cause\": \"phase_wait\"}");
-  EXPECT_FALSE(diff_bench(base, changed).ok());
-  DiffOptions opt;
-  opt.explain_tol = 0.1;  // nonzero tol: presence is enough for strings
-  EXPECT_TRUE(diff_bench(base, changed, opt).ok());
-}
-
-TEST(BenchRegress, MissingExplainKeyIsARegression) {
-  const BenchDoc base = parse_bench_json("{\"explain.total_stall\": 100}");
-  const BenchDoc fresh = parse_bench_json("{\"x\": 1}");
-  DiffOptions opt;
-  opt.explain_tol = 1.0;  // tolerance never excuses a vanished metric
-  const DiffReport r = diff_bench(base, fresh, opt);
-  ASSERT_EQ(r.regressions.size(), 1u);
-  EXPECT_EQ(r.regressions[0].key, "explain.total_stall");
-}
-
-TEST(BenchRegress, EmptyExplainClassFallsBackToExact) {
-  const BenchDoc base = parse_bench_json("{\"explain.total_stall\": 100}");
-  const BenchDoc fresh = parse_bench_json("{\"explain.total_stall\": 105}");
-  DiffOptions opt;
-  opt.explain_substrings.clear();
-  opt.explain_tol = 1.0;  // without the class the tolerance is inert
-  EXPECT_FALSE(diff_bench(base, fresh, opt).ok());
+  EXPECT_FALSE(diff_bench(top, changed).ok());
 }
 
 }  // namespace

@@ -7,14 +7,8 @@
 /// fixed-seed and bit-reproducible, so the default comparison is exact;
 /// wall-clock profile counters (keys containing ".ns"), the worker-thread
 /// count ("jobs") and live-telemetry exports ("telemetry.") are skipped
-/// by default, and `--rel-tol` / `--abs-tol` open per-metric tolerances for
-/// intentionally noisy metrics.  Throughput keys (default substring
-/// ".noderate.") form a rate class: they must be present and numeric but
-/// are never compared exactly — `--rate-tol 0.3` additionally fails a
-/// fresh rate more than 30% below the baseline (one-sided).  Attribution
-/// keys (default substring "explain.") form a fourth class with their own
-/// two-sided `--explain-tol`; at the default 0 they stay exact, so the
-/// committed gate remains bit-identical.
+/// by default (`--skip` replaces that list), and `--rel-tol` / `--abs-tol`
+/// open a tolerance on every numeric metric.
 ///
 /// Examples:
 ///   urn_bench_diff --baseline bench/baseline --fresh build/bench_json
@@ -89,20 +83,6 @@ int bench_diff_main(int argc, char** argv) {
                    "comma-separated key substrings to skip (wall-clock "
                    "counters, the worker-thread count and live-telemetry "
                    "exports by default; empty = compare everything)");
-  flags.add_string("rate-keys", ".noderate.",
-                   "comma-separated key substrings treated as throughput "
-                   "rates: must be present and numeric, never compared "
-                   "exactly (empty = no rate class)");
-  flags.add_double("rate-tol", 0.0,
-                   "one-sided relative tolerance for rate keys: fail when "
-                   "fresh < baseline*(1-tol); 0 disables the value check");
-  flags.add_string("explain-keys", "explain.",
-                   "comma-separated key substrings treated as attribution "
-                   "metrics: compared two-sided under --explain-tol "
-                   "(empty = no explain class)");
-  flags.add_double("explain-tol", 0.0,
-                   "two-sided tolerance for explain keys: allowed drift is "
-                   "tol + tol*|baseline|; 0 keeps the class exact");
 
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "error: %s\n%s", flags.error().c_str(),
@@ -125,10 +105,6 @@ int bench_diff_main(int argc, char** argv) {
   options.rel_tol = flags.get_double("rel-tol");
   options.abs_tol = flags.get_double("abs-tol");
   options.skip_substrings = split_csv(flags.get_string("skip"));
-  options.rate_substrings = split_csv(flags.get_string("rate-keys"));
-  options.rate_rel_tol = flags.get_double("rate-tol");
-  options.explain_substrings = split_csv(flags.get_string("explain-keys"));
-  options.explain_tol = flags.get_double("explain-tol");
 
   const std::vector<fs::path> baseline_files =
       collect_bench_files(baseline_root);
