@@ -192,8 +192,10 @@ class BenchSummary {
     return out;
   }
 
-  /// Write `<dir>/BENCH_<name>.json` when URN_BENCH_JSON names a
-  /// directory; silently a no-op otherwise (text output stands alone).
+  /// Write `<dir>/BENCH_<name>.json` when URN_BENCH_JSON is set; a no-op
+  /// when it is not (text output stands alone).  A destination that
+  /// cannot be written is an error: one line on stderr and exit 2, so a
+  /// gate fed by this summary fails here rather than downstream.
   void emit() const {
     const char* dir = std::getenv("URN_BENCH_JSON");
     if (dir == nullptr || *dir == '\0') return;
@@ -201,8 +203,8 @@ class BenchSummary {
         std::string(dir) + "/BENCH_" + name_ + ".json";
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) {
-      std::fprintf(stderr, "BenchSummary: cannot write %s\n", path.c_str());
-      return;
+      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+      std::exit(2);
     }
     const std::string json = to_json();
     std::fwrite(json.data(), 1, json.size(), f);

@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <numeric>
 
 #include "baselines/message_passing.hpp"
 #include "core/chi.hpp"
@@ -150,10 +151,9 @@ BENCHMARK(BM_ProtocolSlotsTraced)
 
 // ---- Data-layout family ---------------------------------------------------
 // The SoA engine-core numbers: the batched draw loop replaced per-draw
-// double conversion with one integer threshold compare, and the per-slot
-// decided/awake scans walk a one-byte-per-node klass array instead of
-// scattered node objects.  These pin both effects in isolation; m2's
-// whole-run rates show what they buy end to end.
+// double conversion with one integer threshold compare, and the identity
+// sweep skips whole blocks of waiting passive nodes.  These pin both
+// effects in isolation; perfbench shows what they buy end to end.
 
 void BM_BernoulliPerDraw(benchmark::State& state) {
   // Pre-SoA style: one uint64→double conversion + double compare per
@@ -197,56 +197,48 @@ void BM_BernoulliBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_BernoulliBatch)->Arg(2048);
 
-/// Stand-in for the pre-SoA node object: the hot fields the old decided
-/// scan loaded, padded by the cold payload (queue, competitor lists,
-/// stats, transition log) that rode along in every cache line fetch.
-struct AosScanNode {
-  std::uint8_t phase = 0;
-  bool active = false;
-  std::int64_t counter = 0;
-  std::int64_t passive_remaining = 0;
-  std::int32_t color_index = 0;
-  std::byte cold[160]{};
-};
-
-void BM_AwakeScanAoS(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<AosScanNode> nodes(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    nodes[v].phase = v % 5 == 0 ? 1 : 2;  // 20% undecided, like late-run
-  }
-  std::uint64_t decided = 0;
-  for (auto _ : state) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (nodes[v].phase == 2) ++decided;
-    }
-  }
-  benchmark::DoNotOptimize(decided);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_AwakeScanAoS)->Arg(2048)->Arg(100000);
-
-void BM_AwakeScanSoA(benchmark::State& state) {
-  // Same scan over the engine-owned hot block: one byte per node.
+void BM_PassiveSweep(benchmark::State& state) {
+  // `batch_slots` over a hot block whose nodes all wait out their passive
+  // phase (Alg. 1 l. 4–14), swept in identity order: the first sweep
+  // records each block's earliest deadline, every later one skips it.
+  // The counter `per_node_slot` is the time per node-slot swept, the
+  // skipped ones included (printed with an SI prefix, e.g. 6ps).
   const auto n = static_cast<std::size_t>(state.range(0));
   const graph::Graph g = graph::empty_graph(n);
+  const auto params = core::Params::practical(n, 35, 5, 12);
+  std::vector<core::ColoringNode> nodes = core::make_nodes(params, n);
   core::ColoringHot hot(g);
+  std::vector<Rng> rngs;
+  rngs.reserve(n);
   for (std::size_t v = 0; v < n; ++v) {
-    hot.klass[v] = v % 5 == 0 ? core::ColoringHot::kCount
-                              : core::ColoringHot::kDecidedOther;
+    rngs.emplace_back(mix_seed(7, v));
+    nodes[v].attach_hot(&hot);
+    radio::SlotContext ctx;
+    ctx.id = static_cast<graph::NodeId>(v);
+    ctx.rng = &rngs[v];
+    nodes[v].on_wake(ctx);
   }
-  std::uint64_t decided = 0;
+  std::vector<graph::NodeId> awake(n);
+  std::iota(awake.begin(), awake.end(), graph::NodeId{0});
+  std::vector<radio::Message> out;
+  radio::Slot now = 0;
   for (auto _ : state) {
-    for (std::size_t v = 0; v < n; ++v) {
-      if (hot.decided(static_cast<graph::NodeId>(v))) ++decided;
-    }
+    core::ColoringNode::batch_slots(hot, awake.data(), n, now, nodes.data(),
+                                    rngs.data(), out);
+    benchmark::DoNotOptimize(hot.sweep_at.data());
+    benchmark::ClobberMemory();
+    if (++now == params.passive_slots()) now = 0;  // stay passive
   }
-  benchmark::DoNotOptimize(decided);
+  if (!out.empty() || hot.klass[0] != core::ColoringHot::kPassive) {
+    state.SkipWithError("a node left the passive phase");
+  }
+  state.counters["per_node_slot"] = benchmark::Counter(
+      static_cast<double>(n), benchmark::Counter::kIsIterationInvariantRate |
+                                  benchmark::Counter::kInvert);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_AwakeScanSoA)->Arg(2048)->Arg(100000);
+BENCHMARK(BM_PassiveSweep)->Arg(100000);
 
 // ---- trace-capture overhead -----------------------------------------------
 // The BM_Sink* family drives the same synthetic event mix through every

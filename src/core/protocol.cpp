@@ -20,14 +20,16 @@ static_assert(static_cast<std::uint8_t>(Phase::kDecided) ==
 void ColoringNode::on_wake(radio::SlotContext& ctx) {
   URN_CHECK(hot_ != nullptr);  // engines attach_hot before any callback
   URN_CHECK(id_ == ctx.id);
-  enter_verify(0, ctx);  // upon waking up, a node is initially in A_0
+  // Upon waking up, a node is initially in A_0; its first slot is now.
+  enter_verify(0, ctx.now, ctx);
 }
 
-void ColoringNode::enter_verify(std::int32_t color_index,
+void ColoringNode::enter_verify(std::int32_t color_index, Slot first_slot,
                                 const radio::SlotContext& ctx) {
   hot_->klass[id_] = ColoringHot::kPassive;
   color_index_ = color_index;
-  hot_->passive_remaining[id_] = hot_->passive_slots;
+  hot_->activate_at[id_] = first_slot + hot_->passive_slots;
+  hot_->rearm(id_);
   hot_->counter[id_] = 0;
   clear_competitors();  // P_v := ∅ (Alg. 1 l. 1)
   ++stats_.verify_states;
@@ -41,6 +43,7 @@ void ColoringNode::enter_decided(std::int32_t color_index,
   hot_->klass[id_] = color_index == 0 ? ColoringHot::kLeader
                                       : ColoringHot::kDecidedOther;
   color_index_ = color_index;  // color_v := i (Alg. 3 l. 1)
+  ++hot_->decisions;
   clear_competitors();
   if (color_index == 0) {
     LeaderState& l = claim_leader_state();
@@ -74,6 +77,9 @@ void ColoringNode::record_transition(Slot slot,
 
 void ColoringNode::on_receive(radio::SlotContext& ctx,
                               const radio::Message& msg) {
+  // A reception ends the node's slot `ctx.now`; its next slot is the one
+  // after.  Every state change here re-arms the node's sweep block.
+  const Slot next = ctx.now + 1;
   switch (phase()) {
     case Phase::kVerify: {
       // A message from a node in C_i covering us (Alg. 1 l. 10/23)?
@@ -82,13 +88,16 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
                            msg.type == radio::MsgType::kAssign;
       if (color_index_ == 0 && from_c0) {
         leader_ = msg.sender;  // L(v) := w
+        // A waiting passive node keeps its countdown, frozen here.
+        hot_->freeze(id_, next);
         hot_->klass[id_] = ColoringHot::kRequest;
+        hot_->rearm(id_);
         record_transition(ctx.now, ctx);
         return;
       }
       if (color_index_ > 0 && msg.type == radio::MsgType::kDecided &&
           msg.color_index == color_index_) {
-        enter_verify(color_index_ + 1, ctx);  // A_suc = A_{i+1}
+        enter_verify(color_index_ + 1, next, ctx);  // A_suc = A_{i+1}
         return;
       }
       // Competitor report M_A^i(w, c_w) (Alg. 1 l. 6–9 / 27–30).
@@ -136,7 +145,7 @@ void ColoringNode::on_receive(radio::SlotContext& ctx,
           msg.target == id_) {
         tc_ = msg.tc;
         ++stats_.assignments_heard;
-        enter_verify(hot_->params->first_verify_color(tc_), ctx);
+        enter_verify(hot_->params->first_verify_color(tc_), next, ctx);
       }
       return;
     }
@@ -222,19 +231,22 @@ namespace {
 constexpr std::uint32_t kMaxCheckpointList = 1u << 24;
 }  // namespace
 
-void ColoringNode::save_state(obs::postmortem::Writer& w) const {
+void ColoringNode::save_state(obs::postmortem::Writer& w, Slot next) const {
   // The URNC v1 layout predates the hot block: it stores the (phase,
   // active) pair, which the klass byte round-trips through losslessly
   // (klass is a pure function of phase, active and color — see
-  // load_state), a (who, value, stamp) triple per competitor, and the
-  // leader service fields for every node.
+  // load_state), the passive countdown a running passive node derives
+  // from its deadline, a (who, value, stamp) triple per competitor, and
+  // the leader service fields for every node.
+  const bool waiting =
+      hot_->klass[id_] == ColoringHot::kPassive && next != radio::kNotRunning;
   w.u8(static_cast<std::uint8_t>(phase()));
   w.boolean(hot_->klass[id_] == ColoringHot::kCount);
   w.u32(id_);
   w.i32(color_index_);
   w.i32(tc_);
   w.i64(hot_->counter[id_]);
-  w.i64(hot_->passive_remaining[id_]);
+  w.i64(waiting ? hot_->activate_at[id_] - next : hot_->activate_at[id_]);
   w.u32(competitors_);
   const NodeId* ids = competitor_ids();
   const std::int64_t* keys = competitor_keys();
@@ -270,7 +282,7 @@ void ColoringNode::save_state(obs::postmortem::Writer& w) const {
   }
 }
 
-bool ColoringNode::load_state(obs::postmortem::Reader& r) {
+bool ColoringNode::load_state(obs::postmortem::Reader& r, Slot next) {
   URN_CHECK(hot_ != nullptr);
   const std::uint8_t phase = r.u8();
   if (phase > static_cast<std::uint8_t>(Phase::kDecided)) return false;
@@ -279,7 +291,7 @@ bool ColoringNode::load_state(obs::postmortem::Reader& r) {
   color_index_ = r.i32();
   tc_ = r.i32();
   hot_->counter[id_] = r.i64();
-  hot_->passive_remaining[id_] = r.i64();
+  const std::int64_t countdown = r.i64();
   // Reconstruct the klass byte from the v1 (phase, active, color) triple.
   switch (static_cast<Phase>(phase)) {
     case Phase::kVerify:
@@ -293,6 +305,15 @@ bool ColoringNode::load_state(obs::postmortem::Reader& r) {
                                            : ColoringHot::kDecidedOther;
       break;
   }
+  // A running passive node waits until its next slot plus the countdown.
+  Slot& at = hot_->activate_at[id_];
+  at = countdown;
+  if (hot_->klass[id_] == ColoringHot::kPassive &&
+      next != radio::kNotRunning &&
+      __builtin_add_overflow(next, countdown, &at)) {
+    return false;
+  }
+  hot_->rearm(id_);
 
   // Competitors: each must be a distinct neighbour (P_v ⊆ N(v)).
   const std::uint32_t n_comp = r.u32();

@@ -43,6 +43,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -88,7 +89,7 @@ struct LeaderState {
 /// attaches every node to it (`attach_hot`); a node indexes the arrays
 /// with its own id.
 ///
-///  * The per-slot state (`klass`, `counter`, `passive_remaining`) is a
+///  * The per-slot state (`klass`, `counter`, `activate_at`) is a
 ///    structure of arrays, so the hot sweep streams three small arrays
 ///    instead of striding over node records.
 ///  * The Params-derived scalars are identical for every node (all nodes
@@ -102,6 +103,8 @@ struct LeaderState {
 ///    parallel (id, key) arrays; the key is d − stamp of the stored
 ///    counter copy d_v(w), aged lazily: d_v(w) at slot `now` is key + now.
 ///  * Leader-only Algorithm 3 state is pooled in `leaders`.
+///  * The work-proportional sweep state: a per-block skip deadline
+///    (`sweep_at`) and a decision count (`decisions`), see below.
 ///
 /// `klass` collapses the (phase, active, leader?) triple into one byte,
 /// ordered so the per-slot dispatch and the decided test are each a
@@ -118,6 +121,12 @@ struct ColoringHot {
     kLeader = 4,        ///< C₀, serving its cluster (Algorithm 3)
   };
 
+  /// Ids per sweep block: the identity sweep skips whole blocks of
+  /// waiting passive nodes.
+  static constexpr std::size_t kBlock = 64;
+  /// `sweep_at` of a block that holds a node with work in every slot.
+  static constexpr Slot kEverySlot = 0;
+
   /// A block for one run on `g`, which must outlive it.  The competitor
   /// store is left uninitialized (only the first |P_v| slots of a node
   /// are ever read), so a node's pages are touched only once it hears a
@@ -125,7 +134,8 @@ struct ColoringHot {
   explicit ColoringHot(const graph::Graph& g)
       : klass(g.num_nodes(), kPassive),
         counter(g.num_nodes(), 0),
-        passive_remaining(g.num_nodes(), 0),
+        activate_at(g.num_nodes(), 0),
+        sweep_at((g.num_nodes() + kBlock - 1) / kBlock, kEverySlot),
         graph(&g),
         competitor_ids(
             std::make_unique_for_overwrite<NodeId[]>(2 * g.num_edges())),
@@ -136,6 +146,41 @@ struct ColoringHot {
   [[nodiscard]] bool decided(NodeId v) const {
     return klass[v] >= kDecidedOther;
   }
+
+  /// False when `on_receive(msg)` provably changes nothing at u, from
+  /// the hot arrays alone: a C_i node with i > 0 ignores every frame
+  /// (Alg. 3 l. 4), a leader acts only on a request addressed to it
+  /// (Alg. 3 l. 10), a requester only on an assignment addressed to it
+  /// (Alg. 2 l. 3; the sender check stays in `on_receive`), and no
+  /// verifying node acts on a request.
+  [[nodiscard]] bool listens(NodeId u, const radio::Message& msg) const {
+    switch (klass[u]) {
+      case kDecidedOther:
+        return false;
+      case kLeader:
+        return msg.type == radio::MsgType::kRequest && msg.target == u;
+      case kRequest:
+        return msg.type == radio::MsgType::kAssign && msg.target == u;
+      default:
+        return msg.type != radio::MsgType::kRequest;
+    }
+  }
+
+  /// First delivery-pass prefetch stage: u's state byte and counter.
+  void prefetch_entries(NodeId u) const {
+    __builtin_prefetch(klass.data() + u);
+    __builtin_prefetch(counter.data() + u);
+  }
+
+  /// The engine stops running v (a crash, or a wake after one) while its
+  /// next local slot would have been `next`: a waiting passive node's
+  /// deadline turns into the countdown frozen at that slot.
+  void freeze(NodeId v, Slot next) {
+    if (klass[v] == kPassive) activate_at[v] -= next;
+  }
+
+  /// Make the identity sweep visit v's block again from the next slot.
+  void rearm(NodeId v) { sweep_at[v / kBlock] = kEverySlot; }
 
   /// Cache the run's Params-derived scalars (the first `attach_hot`).
   void set_params(const Params* p) {
@@ -149,9 +194,24 @@ struct ColoringHot {
     critical_rangeN = p->critical_range(1);
   }
 
-  std::vector<std::uint8_t> klass;              ///< state byte per node
-  std::vector<std::int64_t> counter;            ///< c_v
-  std::vector<std::int64_t> passive_remaining;  ///< passive slots left
+  std::vector<std::uint8_t> klass;   ///< state byte per node
+  std::vector<std::int64_t> counter; ///< c_v
+  /// For a kPassive node the engine runs: the local slot at which it
+  /// activates (Alg. 1 l. 15), so waiting costs no per-slot store.  For
+  /// every other node: the passive countdown URNC v1 stores, frozen when
+  /// the node left the passive phase early (M_C⁰ heard: → R) or stopped
+  /// running (0 before the wake and after activation).  `save_state` /
+  /// `load_state` convert with the node's next local slot.
+  std::vector<Slot> activate_at;
+  /// Per block of kBlock ids: the identity sweep skips the block at
+  /// slots before this one.  A swept block whose nodes are all waiting
+  /// passive nodes records their earliest `activate_at`; any other block
+  /// records kEverySlot.  Entering A_i and leaving the passive phase on a
+  /// reception re-arm the node's block (`rearm`).
+  std::vector<Slot> sweep_at;
+  /// Decisions taken so far; the engine scans its undecided list only on
+  /// ticks where this moved.
+  std::uint64_t decisions = 0;
 
   // Params-derived scalars shared by every node of a run; the batched
   // sweep compares against them in registers.  `threshold()` and the
@@ -196,7 +256,7 @@ struct Transition {
 
 /// One protocol participant; plugged into radio::Engine<ColoringNode>.
 ///
-/// Hot per-slot state (state byte, counter, passive countdown), the run's
+/// Hot per-slot state (state byte, counter, passive deadline), the run's
 /// Params-derived constants, the competitor list and the leader service
 /// state live in an engine-owned `ColoringHot` block — see `Hot` /
 /// `attach_hot`.  The node object keeps only its identity, its color
@@ -232,7 +292,8 @@ class ColoringNode {
     }
     hot->klass[id_] = ColoringHot::kPassive;
     hot->counter[id_] = 0;
-    hot->passive_remaining[id_] = 0;
+    hot->activate_at[id_] = 0;
+    hot->rearm(id_);
     slots_ = hot->graph->adjacency_offset(id_);
     competitors_ = 0;
   }
@@ -244,6 +305,24 @@ class ColoringNode {
   void on_receive(radio::SlotContext& ctx, const radio::Message& msg);
   [[nodiscard]] bool decided() const {
     return hot_->klass[id_] >= ColoringHot::kDecidedOther;
+  }
+
+  /// Second delivery-pass prefetch stage (the engine prefetched this
+  /// node object and its hot entries some listeners earlier): the
+  /// competitor slots in use, which a verifying node's `on_receive`
+  /// scans.
+  void prefetch_receive() const {
+    if (hot_->klass[id_] > ColoringHot::kCount) return;
+    constexpr std::uint32_t kLine = 64;
+    const auto* ids = reinterpret_cast<const char*>(competitor_ids());
+    const auto* keys = reinterpret_cast<const char*>(competitor_keys());
+    for (std::uint32_t b = 0; b < competitors_ * sizeof(NodeId); b += kLine) {
+      __builtin_prefetch(ids + b);
+    }
+    for (std::uint32_t b = 0; b < competitors_ * sizeof(std::int64_t);
+         b += kLine) {
+      __builtin_prefetch(keys + b);
+    }
   }
 
   /// One whole-slot protocol pass over the engine's awake list — the
@@ -267,9 +346,13 @@ class ColoringNode {
   /// dispatch, no per-node SlotContext / std::optional<Message>
   /// construction on the non-transmitting fast path, and a Bernoulli
   /// compare against a precomputed integer cutoff instead of an
-  /// int→double conversion + double compare per draw.  Only called on
-  /// untraced engines (no sink), where `ctx.tracing()` is false for
-  /// every node.
+  /// int→double conversion + double compare per draw.  On the identity
+  /// sweep (every node awake and live) a block of kBlock ids whose nodes
+  /// all wait out their passive phase is skipped until the earliest
+  /// deadline among them (`ColoringHot::sweep_at`): a waiting passive
+  /// node draws nothing and changes nothing, so skipping it is exact.
+  /// Only called on untraced engines (no sink), where `ctx.tracing()` is
+  /// false for every node.
   static void batch_slots(ColoringHot& hot, const NodeId* awake,
                           std::size_t count, Slot now, ColoringNode* nodes,
                           Rng* rngs, std::vector<radio::Message>& out);
@@ -284,6 +367,12 @@ class ColoringNode {
   /// throughput loss).
   static void batch_cold_slot(NodeId v, Slot now, ColoringNode* nodes,
                               Rng* rngs, std::vector<radio::Message>& out);
+
+  /// The `sweep_at` entry of block [lo, hi) right after its sweep: the
+  /// earliest deadline when every node in it waits in the passive phase,
+  /// else ColoringHot::kEverySlot.
+  static Slot waiting_until(const std::uint8_t* klass, const Slot* activate_at,
+                            std::size_t lo, std::size_t hi);
 
  public:
 
@@ -325,18 +414,24 @@ class ColoringNode {
   /// are rebuilt from the scenario and are skipped).  Layout is part of
   /// the URNC checkpoint format.  Competitors are written in arrival
   /// order with their key as the value and a stamp of 0: aging and χ
-  /// depend only on value − stamp.
-  void save_state(obs::postmortem::Writer& w) const;
+  /// depend only on value − stamp.  `next` is the local slot the engine
+  /// runs the node in next, or radio::kNotRunning for a node it does not
+  /// run (asleep or crashed): v1 stores a passive countdown, which is
+  /// the deadline minus `next`.
+  void save_state(obs::postmortem::Writer& w, Slot next) const;
 
   /// Restore fields written by `save_state` into a node constructed with
-  /// the same (params, id) and attached to its run's block.  Returns
-  /// false on a truncated or corrupt buffer — including a competitor that
-  /// is not a neighbour, a competitor listed twice, or leader service
-  /// state on a node that is not a leader.
-  [[nodiscard]] bool load_state(obs::postmortem::Reader& r);
+  /// the same (params, id) and attached to its run's block; `next` as
+  /// for `save_state`.  Returns false on a truncated or corrupt buffer —
+  /// including a competitor that is not a neighbour, a competitor listed
+  /// twice, or leader service state on a node that is not a leader.
+  [[nodiscard]] bool load_state(obs::postmortem::Reader& r, Slot next);
 
  private:
-  void enter_verify(std::int32_t color_index, const radio::SlotContext& ctx);
+  /// Enter A_i; `first_slot` is the node's next local slot, where its
+  /// passive phase starts.
+  void enter_verify(std::int32_t color_index, Slot first_slot,
+                    const radio::SlotContext& ctx);
   void enter_decided(std::int32_t color_index, const radio::SlotContext& ctx);
   void record_transition(Slot slot, const radio::SlotContext& ctx);
   void store_competitor(NodeId who, std::int64_t value, Slot now);
@@ -397,11 +492,9 @@ inline std::optional<radio::Message> ColoringNode::on_slot(
     case ColoringHot::kPassive: {
       // Passive listening phase (Alg. 1 l. 4–14): d_v(w) copies age
       // implicitly; no transmissions.
-      std::int64_t& passive = hot_->passive_remaining[id_];
-      if (passive > 0) {
-        --passive;
-        return std::nullopt;
-      }
+      Slot& at = hot_->activate_at[id_];
+      if (ctx.now < at) return std::nullopt;
+      at = 0;  // the countdown v1 stores from here on
       // c_v := χ(P_v) (Alg. 1 l. 15), then become active.  The naive /
       // no-reset ablations skip χ and start from 0.
       hot_->counter[id_] =
@@ -515,25 +608,17 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
 
   std::uint8_t* klass = hot.klass.data();
   std::int64_t* counter = hot.counter.data();
-  std::int64_t* passive = hot.passive_remaining.data();
+  const Slot* activate_at = hot.activate_at.data();
   const std::int64_t threshold = hot.threshold;
 
-  // The awake list holds distinct live node ids and is id-sorted from
-  // the slot the last node wakes, so a full list IS the identity
-  // permutation: walk ids directly and spare the hot loop one dependent
-  // load per node-slot.  This is the steady state of every long run
-  // (all awake, none deactivated).
-  const bool identity = count == hot.klass.size();
-
-  // One fused pass in scalar node order.  The branch chain is ordered
-  // by late-run frequency: once a node decides it spends every further
-  // slot in kDecidedOther, so long runs are dominated by the first
-  // test, a one-byte load + compare + one RNG draw per node-slot.  The
-  // irregular work (activation, threshold decisions, leader service)
-  // lives out of line in `batch_cold_slot` so the loop body stays small
-  // enough for the compiler to keep its state in registers.
-  for (std::size_t i = 0; i < count; ++i) {
-    const NodeId v = identity ? static_cast<NodeId>(i) : awake[i];
+  // One node-slot in scalar node order.  The branch chain is ordered by
+  // late-run frequency: once a node decides it spends every further slot
+  // in kDecidedOther, so long runs are dominated by the first test, a
+  // one-byte load + compare + one RNG draw per node-slot.  The irregular
+  // work (activation, threshold decisions, leader service) lives out of
+  // line in `batch_cold_slot` so the loop body stays small enough for the
+  // compiler to keep its state in registers.
+  const auto visit = [&](NodeId v) __attribute__((always_inline)) {
     const std::uint8_t k = klass[v];
     if (k == ColoringHot::kDecidedOther) {
       // Alg. 3 l. 4: non-leader C_i keeps announcing its color.
@@ -551,10 +636,8 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
         }
       }
     } else if (k == ColoringHot::kPassive) {
-      std::int64_t& left = passive[v];
-      if (left > 0) {
-        --left;  // Alg. 1 l. 4–14: listen silently
-      } else {
+      // Alg. 1 l. 4–14: listen silently until the deadline.
+      if (now >= activate_at[v]) {
         batch_cold_slot(v, now, nodes, rngs, out);  // activates (χ, …)
       }
     } else if (k == ColoringHot::kRequest) {
@@ -565,7 +648,37 @@ inline void ColoringNode::batch_slots(ColoringHot& hot, const NodeId* awake,
     } else {  // kLeader
       batch_cold_slot(v, now, nodes, rngs, out);  // Algorithm 3 service
     }
+  };
+
+  // The awake list holds distinct live node ids and is id-sorted from
+  // the slot the last node wakes, so a full list IS the identity
+  // permutation: walk ids directly and spare the hot loop one dependent
+  // load per node-slot.  This is the steady state of every long run
+  // (all awake, none deactivated), and the only sweep that skips blocks:
+  // it starts at the tick the last node wakes and ends for good at the
+  // first crash, so no block it skips can hold a node woken meanwhile.
+  if (count != hot.klass.size()) {
+    for (std::size_t i = 0; i < count; ++i) visit(awake[i]);
+    return;
   }
+  Slot* sweep_at = hot.sweep_at.data();
+  for (std::size_t lo = 0, b = 0; lo < count; lo += ColoringHot::kBlock, ++b) {
+    if (now < sweep_at[b]) continue;  // every node in it is still waiting
+    const std::size_t hi = std::min(count, lo + ColoringHot::kBlock);
+    for (std::size_t v = lo; v < hi; ++v) visit(static_cast<NodeId>(v));
+    sweep_at[b] = waiting_until(klass, activate_at, lo, hi);
+  }
+}
+
+inline Slot ColoringNode::waiting_until(const std::uint8_t* klass,
+                                        const Slot* activate_at,
+                                        std::size_t lo, std::size_t hi) {
+  // A node still kPassive after its sweep waits past `now` (one whose
+  // deadline came activated in it).  Blocks with work exit at once.
+  for (std::size_t v = lo; v < hi; ++v) {
+    if (klass[v] != ColoringHot::kPassive) return ColoringHot::kEverySlot;
+  }
+  return *std::min_element(activate_at + lo, activate_at + hi);
 }
 
 static_assert(radio::NodeProtocol<ColoringNode>);

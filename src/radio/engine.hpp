@@ -110,14 +110,34 @@ concept NodeProtocol = requires(P p, const P cp, SlotContext& ctx,
 //                             Slot now, P* nodes, Rng* rngs,
 //                             std::vector<Message>& out);
 //     bool Hot::decided(NodeId) const;        // node-object-free test
+//     std::uint64_t Hot::decisions;           // moves when a node decides
+//     bool Hot::listens(NodeId, const Message&) const;
+//     void Hot::prefetch_entries(NodeId) const;
+//     void Hot::freeze(NodeId, Slot next);    // the engine stops running it
+//     void prefetch_receive() const;          // the node's receive state
+//     void save_state(Writer&, Slot next) const;
+//     bool load_state(Reader&, Slot next);
 //
 // The engine then (a) owns one block per run and attaches every node to
-// it in its constructor, and (b) on instantiations whose observer takes no
-// events replaces the per-node `on_slot` loop with one `batch_slots` call —
+// it in its constructor; (b) on instantiations whose observer takes no
+// events replaces the per-node `on_slot` loop with one `batch_slots` call,
 // which must be bit-identical to the scalar loop (the protocol owns that
 // proof; the traced-vs-untraced and reference-diff suites are the
-// arbiters).
-// Protocols without a `Hot` alias get `NoHotState` and the scalar loop.
+// arbiters); (c) scans its undecided list only on ticks where
+// `decisions` moved (and on the first tick after `load_state`); (d)
+// counts and reports every delivery but calls `on_receive` only when
+// `listens` is true, so `listens` may be false only for frames whose
+// `on_receive` changes no state and emits no event; (e) prefetches each
+// delivery's listener in two stages from the aligned medium's delivery
+// pass (`prefetch_entries` plus the node object, then the node's own
+// `prefetch_receive`); and (f) calls `freeze` when it stops running an
+// awake node (a
+// crash, or a crashed node's wake), with the local slot the node would
+// have run next.  `save_state` / `load_state` get each node's next local
+// slot, or kNotRunning for a node the engine does not run (asleep or
+// crashed), so a protocol may keep time-based state as absolute slots.
+// Protocols without a `Hot` alias get `NoHotState`, the scalar loop, a
+// scan every tick and a `on_receive` call for every delivery.
 
 /// Placeholder hot block for protocols without SoA state (zero size, the
 /// attach/batch paths compile away behind `if constexpr`).
@@ -175,6 +195,10 @@ struct MediumOptions {
 /// Engine time: slots on the aligned medium, half-slots on the half-slot
 /// medium.  Protocols only ever see local slots.
 using Tick = Slot;
+
+/// The "next local slot" of a node the engine does not run: asleep, or
+/// crashed (see the SoA hot-state contract above).
+inline constexpr Slot kNotRunning = -1;
 
 namespace detail {
 
@@ -276,8 +300,17 @@ class AlignedMedium {
       rx_[sender] = kRxAwake | kRxSelf;
     }
 
-    // Each touched listener appears once; states are final by now.
-    for (const NodeId u : touched_) {
+    // Each touched listener appears once; states are final by now.  A
+    // delivery's cost is its listener's misses, so the pass prefetches
+    // the protocol state of the listeners kFarAhead and kNearAhead places
+    // on (the near stage reads what the far stage loaded).
+    const std::size_t touched = touched_.size();
+    for (std::size_t i = 0; i < touched; ++i) {
+      if (i + kFarAhead < touched) e.prefetch_entries(touched_[i + kFarAhead]);
+      if (i + kNearAhead < touched) {
+        e.prefetch_receive(touched_[i + kNearAhead]);
+      }
+      const NodeId u = touched_[i];
       const std::uint32_t w = rx_[u];
       if ((w & kRxStateMask) == kRxClean) {
         const Message& msg = tx[w & kRxSrcMask];
@@ -342,6 +375,10 @@ class AlignedMedium {
   static constexpr std::uint32_t kRxSelf = 3u << 29;
   static constexpr std::uint32_t kRxStateMask = 3u << 29;
   static constexpr std::uint32_t kRxSrcMask = (1u << 29) - 1;
+
+  /// Prefetch distances of the delivery pass, in touched listeners.
+  static constexpr std::size_t kFarAhead = 16;
+  static constexpr std::size_t kNearAhead = 8;
 
   MediumOptions options_;
   Rng rng_;
@@ -453,6 +490,9 @@ class Engine {
       emit([&] { return obs::Event::wake(local, v); });
       SlotContext ctx = context(v, local);
       nodes_[v].on_wake(ctx);
+      if constexpr (kHasHotState<P>) {
+        if (status_[v] != kAwakeBit) hot_.freeze(v, local);  // crashed
+      }
     }
     if (!id_ordered_ && next_wake_ >= wake_order_.size()) {
       // From the tick the last node wakes (inclusive), iterate nodes in
@@ -507,27 +547,9 @@ class Engine {
     // (4) Track decisions, compacting decided nodes out of the scan so
     // its cost follows the number of still-undecided nodes, not n.  SoA
     // protocols answer `decided` straight from the hot block, so the
-    // scan never touches a node object.
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < undecided_list_.size(); ++i) {
-      const NodeId v = undecided_list_[i];
-      const bool is_decided = [&] {
-        if constexpr (kHasHotState<P>) return hot_.decided(v);
-        else return nodes_[v].decided();
-      }();
-      if (is_decided) {
-        const Slot local = local_slot(v, h);
-        decision_slot_[v] = local;
-        --pending_live_;
-        emit([&] {
-          return obs::Event::decision(local, v, /*color=*/-1,
-                                      local - schedule_.wake_slot(v));
-        });
-      } else {
-        undecided_list_[keep++] = v;
-      }
-    }
-    undecided_list_.resize(keep);
+    // scan never touches a node object, and count their decisions, so
+    // the scan runs only on ticks where some node decided.
+    if (decisions_moved()) scan_decisions(h);
 
     span_emit("wake", ts_wake, ts_protocol, now);
     span_emit("protocol", ts_protocol, ts_medium, now);
@@ -635,6 +657,9 @@ class Engine {
   {
     URN_CHECK(v < nodes_.size());
     if ((status_[v] & kDeadBit) != 0) return;
+    if constexpr (kHasHotState<P>) {
+      if (status_[v] == kAwakeBit) hot_.freeze(v, next_slot(v));
+    }
     status_[v] |= kDeadBit;
     if (decision_slot_[v] == kUndecided) --pending_live_;
     if ((status_[v] & kAwakeBit) != 0) {
@@ -672,7 +697,9 @@ class Engine {
     w.boolean(stats_.all_decided);
     medium_.save(w, *this);
     for (const Rng& r : rngs_) obs::postmortem::write_rng(w, r);
-    for (const P& node : nodes_) node.save_state(w);
+    for (NodeId v = 0; v < nodes_.size(); ++v) {
+      nodes_[v].save_state(w, next_slot(v));
+    }
   }
 
   /// Restore state written by `save_state` into a freshly constructed
@@ -694,14 +721,23 @@ class Engine {
     for (Rng& rng : rngs_) {
       if (!obs::postmortem::read_rng(r, rng)) return false;
     }
-    for (P& node : nodes_) {
-      if (!node.load_state(r)) return false;
+    for (NodeId v = 0; v < nodes_.size(); ++v) {
+      if (!nodes_[v].load_state(r, next_slot(v))) return false;
     }
+    rescan_ = true;
     return r.ok();
   }
 
   /// Slots covered so far (`stats().slots_run` between ticks).
   [[nodiscard]] Slot current_slot() const { return tick_ / kTicksPerSlot; }
+
+  /// The local slot the engine runs live awake node v in next (the first
+  /// slot starting at or after the current tick), or kNotRunning while v
+  /// sleeps or after it crashed: what `save_state` hands each node.
+  [[nodiscard]] Slot next_slot(NodeId v) const {
+    if (status_.at(v) != kAwakeBit) return kNotRunning;
+    return (tick_ - medium_.phase(v) + kTicksPerSlot - 1) / kTicksPerSlot;
+  }
   [[nodiscard]] const RunStats& stats() const { return stats_; }
   [[nodiscard]] const P& node(NodeId v) const { return nodes_.at(v); }
   [[nodiscard]] P& node(NodeId v) { return nodes_.at(v); }
@@ -787,8 +823,61 @@ class Engine {
                                   static_cast<std::uint8_t>(msg.type),
                                   msg.color_index);
     });
+    if constexpr (kHasHotState<P>) {
+      if (!hot_.listens(u, msg)) return;  // provably changes nothing
+    }
     SlotContext ctx = context(u, local);
     nodes_[u].on_receive(ctx, msg);
+  }
+
+  // Delivery-pass prefetch stages (AlignedMedium::resolve); no-ops for
+  // protocols without a hot block.
+  void prefetch_entries(NodeId u) const {
+    if constexpr (kHasHotState<P>) {
+      hot_.prefetch_entries(u);
+      const auto* node = reinterpret_cast<const char*>(nodes_.data() + u);
+      __builtin_prefetch(node);
+      __builtin_prefetch(node + sizeof(P) - 1);
+    }
+  }
+  void prefetch_receive(NodeId u) const {
+    if constexpr (kHasHotState<P>) nodes_[u].prefetch_receive();
+  }
+
+  /// Whether this tick may have decided a node: SoA protocols count
+  /// their decisions; everything else is scanned every tick.
+  [[nodiscard]] bool decisions_moved() {
+    if constexpr (kHasHotState<P>) {
+      if (scanned_decisions_ == hot_.decisions && !rescan_) return false;
+      scanned_decisions_ = hot_.decisions;
+      rescan_ = false;
+    }
+    return true;
+  }
+
+  /// Record the decisions of tick h and compact the decided nodes out of
+  /// the undecided list.
+  void scan_decisions(Tick h) {
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < undecided_list_.size(); ++i) {
+      const NodeId v = undecided_list_[i];
+      const bool is_decided = [&] {
+        if constexpr (kHasHotState<P>) return hot_.decided(v);
+        else return nodes_[v].decided();
+      }();
+      if (is_decided) {
+        const Slot local = local_slot(v, h);
+        decision_slot_[v] = local;
+        --pending_live_;
+        emit([&] {
+          return obs::Event::decision(local, v, /*color=*/-1,
+                                      local - schedule_.wake_slot(v));
+        });
+      } else {
+        undecided_list_[keep++] = v;
+      }
+    }
+    undecided_list_.resize(keep);
   }
 
   void collide(NodeId u, Slot local) {
@@ -898,6 +987,10 @@ class Engine {
   /// termination counter behind `all_decided()`.
   std::size_t pending_live_ = 0;
   std::vector<Message> transmitters_;  ///< this tick's frames, sweep order
+  /// `Hot::decisions` at the last undecided-list scan, and whether the
+  /// next tick must scan regardless (set by `load_state`).
+  std::uint64_t scanned_decisions_ = 0;
+  bool rescan_ = false;
 
   RunStats stats_;
 };

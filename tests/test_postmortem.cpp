@@ -585,7 +585,7 @@ std::size_t node_record_at(const AlignedEngine& e, std::size_t blob_size,
   std::size_t before_v = 0;
   for (graph::NodeId u = 0; u < e.num_nodes(); ++u) {
     pm::Writer w;
-    e.node(u).save_state(w);
+    e.node(u).save_state(w, e.next_slot(u));
     tail += w.data().size();
     if (u < v) before_v += w.data().size();
   }

@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "core/params.hpp"
 #include "core/protocol.hpp"
 #include "core/runner.hpp"
 #include "graph/generators.hpp"
+#include "obs/event.hpp"
+#include "obs/postmortem.hpp"
 #include "radio/engine.hpp"
 #include "support/rng.hpp"
 
@@ -265,6 +269,156 @@ TEST(Protocol, NonePolicyNeverResets) {
   node.on_receive(c, radio::make_compete(2, 0, before));
   EXPECT_EQ(node.counter(), before);
   EXPECT_EQ(node.stats().resets, 0u);
+}
+
+// ------------------------------------------------- the receive filter ---
+//
+// `ColoringHot::listens(u, msg) == false` lets the engine skip
+// `on_receive`.  The contract: whenever it is false, `on_receive` would
+// change neither the node's saved state nor its hot entries, and would
+// emit no event.  Every klass meets every message type here, with
+// matching and non-matching colour, target and sender.
+
+/// A hub node (id 0) driven into one state, its block, and the slot its
+/// next `on_slot` would run in.
+struct Driven {
+  explicit Driven(const Params* p) : hot(hub()), node(p, 0), rng(21) {
+    node.attach_hot(&hot);
+  }
+  ColoringHot hot;
+  ColoringNode node;
+  Rng rng;
+  radio::Slot next = 0;
+
+  void wake() {
+    auto c = ctx_at(0, next, rng);
+    node.on_wake(c);
+  }
+  void slot() {
+    auto c = ctx_at(0, next++, rng);
+    (void)node.on_slot(c);
+  }
+  void hear(const radio::Message& m) {
+    auto c = ctx_at(0, next - 1, rng);
+    node.on_receive(c, m);
+  }
+};
+
+enum class Drive {
+  kPassive0, kCount0, kCountWithCompetitor, kRequest, kPassiveI, kCountI,
+  kDecidedOther, kLeader, kLeaderServing,
+};
+
+void drive(Driven& d, Drive to) {
+  const auto until = [&d](std::uint8_t k) {
+    while (d.hot.klass[0] != k) d.slot();
+  };
+  d.wake();
+  switch (to) {
+    case Drive::kPassive0:
+      d.slot();
+      return;
+    case Drive::kCount0:
+      until(ColoringHot::kCount);
+      return;
+    case Drive::kCountWithCompetitor:
+      until(ColoringHot::kCount);
+      d.hear(radio::make_compete(3, 0, 1000));
+      return;
+    case Drive::kRequest:
+      d.slot();
+      d.hear(radio::make_decided(7, 0));  // leader 7
+      return;
+    case Drive::kLeader:
+    case Drive::kLeaderServing:
+      until(ColoringHot::kLeader);
+      if (to == Drive::kLeaderServing) d.hear(radio::make_request(5, 0));
+      return;
+    default:  // the A_i states: R first, then an assignment from 7
+      d.slot();
+      d.hear(radio::make_decided(7, 0));
+      d.slot();
+      d.hear(radio::make_assign(7, 0, 1));
+      if (to == Drive::kCountI) until(ColoringHot::kCount);
+      if (to == Drive::kDecidedOther) until(ColoringHot::kDecidedOther);
+      return;
+  }
+}
+
+/// Everything `on_receive` could touch, as comparable values.
+struct Observed {
+  std::string blob;
+  std::uint8_t klass = 0;
+  std::int64_t counter = 0;
+  radio::Slot activate_at = 0;
+  radio::Slot sweep_at = 0;
+  std::uint64_t decisions = 0;
+  std::size_t leaders = 0;
+  friend bool operator==(const Observed&, const Observed&) = default;
+};
+
+Observed observe(const Driven& d) {
+  obs::postmortem::Writer w;
+  d.node.save_state(w, d.next);
+  return {w.data(),           d.hot.klass[0],
+          d.hot.counter[0],   d.hot.activate_at[0],
+          d.hot.sweep_at[0],  d.hot.decisions,
+          d.hot.leaders.size()};
+}
+
+TEST(Protocol, ListensIsFalseOnlyForFramesThatChangeNothing) {
+  const Params p = tiny_params();
+  const std::vector<Drive> states = {
+      Drive::kPassive0,     Drive::kCount0,   Drive::kCountWithCompetitor,
+      Drive::kRequest,      Drive::kPassiveI, Drive::kCountI,
+      Drive::kDecidedOther, Drive::kLeader,   Drive::kLeaderServing};
+  std::vector<radio::Message> frames;
+  const std::int32_t ci = p.first_verify_color(1);
+  for (const graph::NodeId from : {3u, 5u, 7u}) {
+    for (const std::int32_t color : {0, 1, ci, ci + 1}) {
+      for (const std::int64_t c : {std::int64_t{0}, std::int64_t{4},
+                                   std::int64_t{1000}}) {
+        frames.push_back(radio::make_compete(from, color, c));
+      }
+      frames.push_back(radio::make_decided(from, color));
+    }
+    for (const graph::NodeId to : {0u, 5u}) {
+      frames.push_back(radio::make_assign(from, to, 1));
+      frames.push_back(radio::make_assign(from, to, 2));
+      frames.push_back(radio::make_request(from, to));
+    }
+  }
+
+  std::size_t filtered = 0;
+  for (const Drive state : states) {
+    std::size_t ignored = 0;
+    for (const radio::Message& m : frames) {
+      Driven d(&p);
+      drive(d, state);
+      if (d.hot.listens(0, m)) continue;
+      ++ignored;
+      const Observed before = observe(d);
+      int events = 0;
+      auto c = ctx_at(0, d.next - 1, d.rng);
+      c.events_sink = &events;
+      c.events_fn = [](void* sink, const obs::Event&) {
+        ++*static_cast<int*>(sink);
+      };
+      d.node.on_receive(c, m);
+      EXPECT_EQ(observe(d), before)
+          << "state " << static_cast<int>(state) << ", frame type "
+          << static_cast<int>(m.type) << " from " << m.sender;
+      EXPECT_EQ(events, 0);
+    }
+    // Each state ignores some frame: requests, at the least.
+    EXPECT_GT(ignored, 0u) << "state " << static_cast<int>(state);
+    filtered += ignored;
+  }
+  // A decided C_i node (i > 0) ignores everything.
+  Driven other(&p);
+  drive(other, Drive::kDecidedOther);
+  for (const radio::Message& m : frames) EXPECT_FALSE(other.hot.listens(0, m));
+  EXPECT_GT(filtered, frames.size());
 }
 
 // ------------------------------------------------------------ tiny runs ---

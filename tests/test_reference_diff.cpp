@@ -375,14 +375,16 @@ std::pair<radio::WakeSchedule, radio::Slot> make_wakes(
   return {radio::WakeSchedule{std::move(wakes)}, 8000 + tail};
 }
 
-/// Every node's serialized protocol state, equal byte for byte.
+/// Every node's serialized protocol state, equal byte for byte.  The two
+/// engines are at the same tick, so each node's next local slot is the
+/// optimized engine's.
 template <typename Fast, typename Ref>
 void expect_node_blobs_equal(std::size_t n, const Fast& fast,
                              const Ref& ref) {
   for (graph::NodeId v = 0; v < n; ++v) {
     obs::postmortem::Writer a, b;
-    fast.node(v).save_state(a);
-    ref.node(v).save_state(b);
+    fast.node(v).save_state(a, fast.next_slot(v));
+    ref.node(v).save_state(b, fast.next_slot(v));
     EXPECT_EQ(a.data(), b.data()) << "node " << v;
   }
 }
@@ -464,6 +466,186 @@ TEST(EngineDiffBatch, HalfSlotTracedMatchesUntraced) {
     scalar.save_state(blob_scalar);
     EXPECT_EQ(blob_batch.data(), blob_scalar.data()) << offsets_kind << seed;
   }
+}
+
+// ---- the work-proportional sweep ------------------------------------------
+//
+// With synchronous wake every node spends the first ⌈αΔ log n⌉ slots
+// waiting in the passive phase, and the identity sweep skips whole
+// 64-id blocks until their earliest deadline.  n = 230 gives three full
+// blocks and a partial fourth.  The v1 countdown a node saves is derived
+// from its deadline; here it is also checked against its plain meaning,
+// the passive slots the node has left.
+
+graph::Graph make_blocks_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  return graph::random_udg(230, 11.0, 1.4, rng).graph;
+}
+
+/// The passive countdown field of v's URNC v1 node record.
+template <typename E>
+std::int64_t saved_countdown(const E& e, graph::NodeId v) {
+  obs::postmortem::Writer w;
+  e.node(v).save_state(w, e.next_slot(v));
+  obs::postmortem::Reader r(w.data());
+  (void)r.u8();       // phase
+  (void)r.boolean();  // active
+  (void)r.u32();      // id
+  (void)r.i32();      // color index
+  (void)r.i32();      // tc
+  (void)r.i64();      // counter
+  return r.i64();
+}
+
+TEST(EngineDiffPassive, SyncWakeSweepsBlocksIntoTheActivePhase) {
+  for (const std::uint64_t seed : {121ull, 122ull}) {
+    const graph::Graph g = make_blocks_graph(seed);
+    const std::size_t n = g.num_nodes();
+    const auto delta = std::max(2u, g.max_closed_degree());
+    const core::Params params = core::Params::practical(n, delta, 5, 12);
+    const radio::MediumOptions medium{seed == 122 ? 0.1 : 0.0};
+    const auto schedule = radio::WakeSchedule::synchronous(n);
+    radio::Engine<core::ColoringNode> fast(
+        g, schedule, core::make_nodes(params, n), seed, medium);
+    testing::ReferenceEngine<core::ColoringNode> ref(
+        g, schedule, core::make_nodes(params, n), seed, medium);
+
+    const radio::Slot passive = params.passive_slots();
+    const radio::Slot horizon = passive + 2 * params.threshold() + 500;
+    for (radio::Slot t = 0; t < horizon; ++t) {
+      fast.step();
+      ref.step();
+      // Around the activation slot, and at a few points before it.
+      if (t == 0 || t == passive / 2 || (t >= passive - 2 && t <= passive + 1)) {
+        expect_stats_equal(fast.stats(), ref.stats());
+        expect_nodes_equal(g, fast, ref);
+        expect_node_blobs_equal(n, fast, ref);
+        for (graph::NodeId v = 0; v < n; ++v) {
+          ASSERT_EQ(saved_countdown(fast, v), std::max<radio::Slot>(0, passive - t - 1))
+              << "node " << v << " after slot " << t;
+        }
+      }
+    }
+    expect_stats_equal(fast.stats(), ref.stats());
+    EXPECT_GT(fast.stats().deliveries, 0u);
+    expect_nodes_equal(g, fast, ref);
+    expect_node_blobs_equal(n, fast, ref);
+  }
+}
+
+// Block 0 wakes first and elects leaders; the other blocks wake later,
+// all at once, so whole blocks wait passively while those leaders
+// beacon.  A passive node that hears one moves to R inside a block the
+// sweep is skipping, and the reception must re-arm that block.
+TEST(EngineDiffPassive, LeadersReachNodesInSkippedBlocks) {
+  for (const std::uint64_t seed : {129ull, 130ull}) {
+    const graph::Graph g = make_blocks_graph(seed);
+    const std::size_t n = g.num_nodes();
+    const auto delta = std::max(2u, g.max_closed_degree());
+    const core::Params params = core::Params::practical(n, delta, 5, 12);
+    const radio::Slot late = params.passive_slots() + 3 * params.threshold();
+    std::vector<radio::Slot> wakes(n);
+    for (std::size_t v = 0; v < n; ++v) wakes[v] = v < 64 ? 0 : late;
+    const radio::WakeSchedule schedule{std::move(wakes)};
+    radio::Engine<core::ColoringNode> fast(g, schedule,
+                                           core::make_nodes(params, n), seed);
+    testing::ReferenceEngine<core::ColoringNode> ref(
+        g, schedule, core::make_nodes(params, n), seed);
+
+    const radio::Slot horizon = late + params.passive_slots() + 500;
+    std::size_t early_requests = 0;
+    for (radio::Slot t = 0; t < horizon; ++t) {
+      fast.step();
+      ref.step();
+      if (t == late + params.passive_slots() / 2) {
+        for (graph::NodeId v = 64; v < n; ++v) {
+          if (fast.node(v).phase() == core::Phase::kRequest) ++early_requests;
+        }
+      }
+    }
+    EXPECT_GT(early_requests, 0u) << "no late node heard a leader";
+    expect_stats_equal(fast.stats(), ref.stats());
+    expect_nodes_equal(g, fast, ref);
+    expect_node_blobs_equal(n, fast, ref);
+  }
+}
+
+// A crash in the middle of the passive phase takes the sweep off the
+// identity order for good (the awake list no longer holds every id), and
+// the dead node's countdown freezes at the slot it would have run next.
+TEST(EngineDiffPassive, CrashMidPassiveLeavesTheIdentitySweep) {
+  for (const std::uint64_t seed : {123ull, 124ull}) {
+    const graph::Graph g = make_blocks_graph(seed);
+    const std::size_t n = g.num_nodes();
+    const auto delta = std::max(2u, g.max_closed_degree());
+    const core::Params params = core::Params::practical(n, delta, 5, 12);
+    const radio::MediumOptions medium{0.15};
+    const auto schedule = radio::WakeSchedule::synchronous(n);
+    radio::Engine<core::ColoringNode> fast(
+        g, schedule, core::make_nodes(params, n), seed, medium);
+    testing::ReferenceEngine<core::ColoringNode> ref(
+        g, schedule, core::make_nodes(params, n), seed, medium);
+
+    const radio::Slot passive = params.passive_slots();
+    const radio::Slot crash_at = passive / 2;
+    const graph::NodeId victim = 150;  // inside the third block
+    const radio::Slot horizon = passive + 2 * params.threshold() + 500;
+    for (radio::Slot t = 0; t < horizon; ++t) {
+      if (t == crash_at) {
+        fast.deactivate(victim);
+        ref.deactivate(victim);
+        EXPECT_EQ(fast.next_slot(victim), radio::kNotRunning);
+      }
+      fast.step();
+      ref.step();
+      if (t >= crash_at) {
+        ASSERT_EQ(saved_countdown(fast, victim), passive - crash_at)
+            << "after slot " << t;
+      }
+    }
+    expect_stats_equal(fast.stats(), ref.stats());
+    EXPECT_GT(fast.stats().dropped, 0u);
+    expect_nodes_equal(g, fast, ref);
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (v == victim) continue;
+      obs::postmortem::Writer a, b;
+      fast.node(v).save_state(a, fast.next_slot(v));
+      ref.node(v).save_state(b, fast.next_slot(v));
+      EXPECT_EQ(a.data(), b.data()) << "node " << v;
+    }
+  }
+}
+
+// A node that crashes before its wake still wakes (on_wake runs), into a
+// countdown that never moves.
+TEST(EngineDiffPassive, CrashBeforeWakeFreezesTheWholeCountdown) {
+  const std::uint64_t seed = 131;
+  const graph::Graph g = make_graph("udg", seed);
+  const std::size_t n = g.num_nodes();
+  const auto delta = std::max(2u, g.max_closed_degree());
+  const core::Params params = core::Params::practical(n, delta, 5, 12);
+  Rng wrng(mix_seed(seed, 77));
+  const auto schedule = radio::WakeSchedule::uniform(n, 600, wrng);
+  radio::Engine<core::ColoringNode> fast(g, schedule,
+                                         core::make_nodes(params, n), seed);
+  testing::ReferenceEngine<core::ColoringNode> ref(
+      g, schedule, core::make_nodes(params, n), seed);
+  const std::vector<graph::NodeId> dead = {3, 17, 40};
+  for (const graph::NodeId v : dead) {
+    ASSERT_GT(schedule.wake_slot(v), 0);
+    fast.deactivate(v);
+    ref.deactivate(v);
+  }
+  for (radio::Slot t = 0; t < 600 + params.passive_slots() + 200; ++t) {
+    fast.step();
+    ref.step();
+  }
+  for (const graph::NodeId v : dead) {
+    EXPECT_EQ(fast.node(v).transitions().size(), 1u) << "node " << v;
+    EXPECT_EQ(saved_countdown(fast, v), params.passive_slots()) << "node " << v;
+  }
+  expect_stats_equal(fast.stats(), ref.stats());
+  expect_nodes_equal(g, fast, ref);
 }
 
 // ---- checkpoint → resume fuzz grid (postmortem) ---------------------------
@@ -570,6 +752,9 @@ void check_aligned_resume(
                                       lc.scenario.seed, lc.scenario.medium);
   pm::Reader state(lc.engine_state);
   ASSERT_TRUE(c.load_state(state));
+  pm::Writer resaved;
+  c.save_state(resaved);
+  EXPECT_EQ(resaved.data(), lc.engine_state);  // load → save is the identity
   (void)c.run(lc.scenario.max_slots);
   pm::Writer blob_c;
   c.save_state(blob_c);
@@ -668,6 +853,70 @@ TEST(CheckpointResumeAligned, PostDeactivateStateSurvivesRoundTrip) {
     const radio::Slot budget = 4 * params.threshold() + 4000;
     check_aligned_resume(g, params, schedule, seed, medium, take_at, budget,
                          "deact_s" + std::to_string(seed), kills);
+  }
+}
+
+// Snapshots inside the passive phase of a synchronous wake, where the
+// identity sweep skips blocks and each node's v1 countdown is derived
+// from its deadline at save and turned back into one at load.
+TEST(CheckpointResumeAligned, MidPassiveSnapshotResumes) {
+  for (const std::uint64_t seed : {125ull, 126ull}) {
+    const graph::Graph g = make_blocks_graph(seed);
+    const std::size_t n = g.num_nodes();
+    const auto delta = std::max(2u, g.max_closed_degree());
+    const core::Params params = core::Params::practical(n, delta, 5, 12);
+    radio::MediumOptions medium;
+    medium.drop_probability = seed == 126 ? 0.2 : 0.0;
+    const radio::Slot budget = params.passive_slots() +
+                               4 * params.threshold() + 2000;
+    check_aligned_resume(g, params, radio::WakeSchedule::synchronous(n), seed,
+                         medium, params.passive_slots() / 2, budget,
+                         "passive_s" + std::to_string(seed));
+  }
+}
+
+// A node still in its passive phase that hears a leader moves to R and
+// keeps the countdown it had left (URNC v1 stores it, frozen).  Two wake
+// waves make such nodes: the second wakes next to leaders of the first.
+// The snapshot lands right after the first such transition.
+TEST(CheckpointResumeAligned, SnapshotAfterPassiveToRequestResumes) {
+  for (const std::uint64_t seed : {127ull, 128ull}) {
+    const graph::Graph g = make_graph("udg", seed);
+    const std::size_t n = g.num_nodes();
+    const auto delta = std::max(2u, g.max_closed_degree());
+    const core::Params params = core::Params::practical(n, delta, 5, 12);
+    const radio::Slot second_wave =
+        params.passive_slots() + 3 * params.threshold();
+    std::vector<radio::Slot> wakes(n);
+    for (std::size_t v = 0; v < n; ++v) wakes[v] = v % 2 == 0 ? 0 : second_wave;
+    const radio::WakeSchedule schedule{std::move(wakes)};
+    const radio::Slot budget = second_wave + 4 * params.threshold() + 2000;
+
+    // Find the first slot after which some requester holds a frozen,
+    // non-zero countdown: the passive slots it had left when it heard
+    // the leader (it entered A₀ at its wake and R at slot r, after
+    // r − wake + 1 passive slots).
+    radio::Engine<core::ColoringNode> probe(
+        g, schedule, core::make_nodes(params, n), seed);
+    radio::Slot take_at = 0;
+    while (take_at == 0 && probe.current_slot() < budget) {
+      probe.step();
+      for (graph::NodeId v = 0; v < n; ++v) {
+        const core::ColoringNode& node = probe.node(v);
+        if (node.phase() != core::Phase::kRequest) continue;
+        const std::int64_t left = saved_countdown(probe, v);
+        ASSERT_EQ(node.transitions().size(), 2u);
+        const radio::Slot woke = node.transitions()[0].slot;
+        const radio::Slot heard = node.transitions()[1].slot;
+        ASSERT_EQ(left, std::max<radio::Slot>(
+                            0, params.passive_slots() - (heard - woke + 1)))
+            << "node " << v;
+        if (left > 0) take_at = probe.current_slot();
+      }
+    }
+    ASSERT_GT(take_at, 0) << "no passive node heard a leader";
+    check_aligned_resume(g, params, schedule, seed, {}, take_at, budget,
+                         "request_s" + std::to_string(seed));
   }
 }
 
